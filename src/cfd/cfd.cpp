@@ -2,8 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+
+#include "exec/parallel_for.hpp"
 
 namespace gns::cfd {
+
+namespace {
+
+/// Grids with at least this many cells run their row sweeps in parallel.
+constexpr int kParallelCells = 4096;
+
+/// Runs body(j) for rows j in [begin, end). Every sweep writes disjoint
+/// per-row outputs (a red-black SOR color reads only the other color), so
+/// the result is bitwise independent of how rows land on workers.
+template <typename Body>
+void for_rows(int begin, int end, bool parallel, Body&& body) {
+  exec::parallel_for(end - begin, parallel, [&](std::int64_t r) {
+    body(begin + static_cast<int>(r));
+  });
+}
+
+}  // namespace
 
 CfdSolver::CfdSolver(CfdConfig config) : config_(config) {
   GNS_CHECK(config_.nx > 4 && config_.ny > 4);
@@ -97,9 +117,9 @@ void CfdSolver::apply_velocity_bc(std::vector<double>& u,
 
 void CfdSolver::advect(double dt) {
   const int nx = config_.nx, ny = config_.ny;
+  const bool par = nx * ny >= kParallelCells;
   // Semi-Lagrangian backtrace for each face value.
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j < ny; ++j) {
+  for_rows(0, ny, par, [&](int j) {
     for (int i = 0; i <= nx; ++i) {
       const double x = i * dx_;
       const double y = (j + 0.5) * dx_;
@@ -107,9 +127,8 @@ void CfdSolver::advect(double dt) {
       const double vv = sample_v(x, y);
       u_tmp_[uidx(i, j)] = sample_u(x - dt * uu, y - dt * vv);
     }
-  }
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j <= ny; ++j) {
+  });
+  for_rows(0, ny + 1, par, [&](int j) {
     for (int i = 0; i < nx; ++i) {
       const double x = (i + 0.5) * dx_;
       const double y = j * dx_;
@@ -117,16 +136,16 @@ void CfdSolver::advect(double dt) {
       const double vv = v_[vidx(i, j)];
       v_tmp_[vidx(i, j)] = sample_v(x - dt * uu, y - dt * vv);
     }
-  }
+  });
   u_.swap(u_tmp_);
   v_.swap(v_tmp_);
 }
 
 void CfdSolver::diffuse(double dt) {
   const int nx = config_.nx, ny = config_.ny;
+  const bool par = nx * ny >= kParallelCells;
   const double a = nu_ * dt / (dx_ * dx_);
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j < ny; ++j) {
+  for_rows(0, ny, par, [&](int j) {
     for (int i = 1; i < nx; ++i) {
       const double c = u_[uidx(i, j)];
       const double l = u_[uidx(i - 1, j)];
@@ -137,9 +156,8 @@ void CfdSolver::diffuse(double dt) {
     }
     u_tmp_[uidx(0, j)] = u_[uidx(0, j)];
     u_tmp_[uidx(nx, j)] = u_[uidx(nx, j)];
-  }
-#pragma omp parallel for schedule(static)
-  for (int j = 1; j < ny; ++j) {
+  });
+  for_rows(1, ny, par, [&](int j) {
     for (int i = 0; i < nx; ++i) {
       const double c = v_[vidx(i, j)];
       const double l = (i > 0) ? v_[vidx(i - 1, j)] : c;
@@ -148,7 +166,7 @@ void CfdSolver::diffuse(double dt) {
       const double t = v_[vidx(i, j + 1)];
       v_tmp_[vidx(i, j)] = c + a * (l + r + d + t - 4.0 * c);
     }
-  }
+  });
   for (int i = 0; i < nx; ++i) {
     v_tmp_[vidx(i, 0)] = v_[vidx(i, 0)];
     v_tmp_[vidx(i, ny)] = v_[vidx(i, ny)];
@@ -159,6 +177,7 @@ void CfdSolver::diffuse(double dt) {
 
 void CfdSolver::project(double dt) {
   const int nx = config_.nx, ny = config_.ny;
+  const bool par = nx * ny >= kParallelCells;
   const double scale = dx_ / dt;  // rhs scaling folded into p units
   std::vector<double> rhs(nx * ny, 0.0);
   for (int j = 0; j < ny; ++j) {
@@ -171,8 +190,7 @@ void CfdSolver::project(double dt) {
   // Red-black SOR so sweeps parallelize without races.
   for (int iter = 0; iter < config_.pressure_iters; ++iter) {
     for (int color = 0; color < 2; ++color) {
-#pragma omp parallel for schedule(static)
-      for (int j = 0; j < ny; ++j) {
+      for_rows(0, ny, par, [&](int j) {
         for (int i = (j + color) & 1; i < nx; i += 2) {
           if (solid(i, j)) continue;
           // Outflow column holds p = 0 (Dirichlet) so pressure is anchored.
@@ -200,24 +218,22 @@ void CfdSolver::project(double dt) {
               p_[cidx(i, j)] +
               config_.sor_omega * (p_new - p_[cidx(i, j)]);
         }
-      }
+      });
     }
   }
   // Velocity correction u -= dt/dx ∇p (with the scale folding, u -= Δp/scale).
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j < ny; ++j) {
+  for_rows(0, ny, par, [&](int j) {
     for (int i = 1; i < nx; ++i) {
       if (solid(i - 1, j) || solid(i, j)) continue;
       u_[uidx(i, j)] -= (p_[cidx(i, j)] - p_[cidx(i - 1, j)]) / scale;
     }
-  }
-#pragma omp parallel for schedule(static)
-  for (int j = 1; j < ny; ++j) {
+  });
+  for_rows(1, ny, par, [&](int j) {
     for (int i = 0; i < nx; ++i) {
       if (solid(i, j - 1) || solid(i, j)) continue;
       v_[vidx(i, j)] -= (p_[cidx(i, j)] - p_[cidx(i, j - 1)]) / scale;
     }
-  }
+  });
 }
 
 double CfdSolver::step() {

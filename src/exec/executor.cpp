@@ -11,22 +11,11 @@ namespace gns::exec {
 
 namespace {
 
-bool env_flag(const char* name, bool dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  return !(v[0] == '0' && v[1] == '\0');
-}
-
 int env_int(const char* name) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return 0;
   const int n = std::atoi(v);
   return n > 0 ? n : 0;
-}
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{env_flag("GNS_EXEC", true)};
-  return flag;
 }
 
 // Thread-local identity of executor workers, for submit()'s own-deque
@@ -66,15 +55,8 @@ obs::Counter& busy_counter() {
 
 }  // namespace
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
-
 int default_workers() {
   int n = env_int("GNS_EXEC_WORKERS");
-  if (n == 0) n = env_int("GNS_NUM_THREADS");
   if (n == 0) n = static_cast<int>(std::thread::hardware_concurrency());
   if (n <= 0) n = 1;
   return n;
@@ -87,7 +69,7 @@ Executor::Executor(int workers) {
     workers_.push_back(std::make_unique<Worker>());
   for (int i = 0; i < workers; ++i)
     workers_[static_cast<std::size_t>(i)]->thread =
-        std::thread([this, i] { worker_loop(i); });
+        std::thread([this, i] { run_worker(i); });
   workers_gauge().set(static_cast<double>(workers));
 }
 
@@ -196,7 +178,7 @@ void Executor::run_task(Task* task) {
   tasks_counter().add(1);
 }
 
-void Executor::worker_loop(int index) {
+void Executor::run_worker(int index) {
   t_owner = this;
   t_worker_index = index;
   std::uint32_t rng =

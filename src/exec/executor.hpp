@@ -10,13 +10,9 @@
 /// own deque and steal from peers when idle. Timers ride a hashed
 /// TimerWheel whose fired callbacks are submitted as ordinary tasks, so
 /// deadlines and batch windows share cores with compute instead of
-/// holding threads.
-///
-/// Runtime toggle: `GNS_EXEC=0` (or exec::set_enabled(false)) keeps the
-/// legacy three-pool layout — serve worker threads, net handler threads,
-/// OpenMP regions — as a one-release escape hatch. Components snapshot
-/// the flag at construction; exec::parallel_for consults it per call so a
-/// bench can compare both paths in one process.
+/// holding threads. It is the only runtime: the serve scheduler, the net
+/// server and every parallel loop run on it, and GNS_EXEC_WORKERS is its
+/// one setting.
 ///
 /// Determinism: the executor itself adds none of the usual hazards — all
 /// parallel loops routed through parallel_for/parallel_chunks use a
@@ -41,14 +37,8 @@
 
 namespace gns::exec {
 
-/// Global executor-path switch (GNS_EXEC env, default on). Flipping at
-/// runtime only affects code that consults it afterwards; long-lived
-/// components (JobScheduler, net::Server) snapshot it at construction.
-bool enabled();
-void set_enabled(bool on);
-
 /// Worker count the global executor will use: GNS_EXEC_WORKERS, else
-/// GNS_NUM_THREADS, else std::thread::hardware_concurrency().
+/// std::thread::hardware_concurrency().
 int default_workers();
 
 /// Point-in-time executor counters for benches and the stats endpoint.
@@ -106,7 +96,7 @@ class Executor {
 
   friend struct ParallelAccess;  // parallel_for internals
 
-  void worker_loop(int index);
+  void run_worker(int index);
   Task* try_acquire(int index, std::uint32_t& rng);
   Task* pop_injection();
   void run_task(Task* task);

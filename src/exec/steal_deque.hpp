@@ -39,8 +39,10 @@ class StealDeque {
     if (b - t >= static_cast<std::int64_t>(ring_.size())) return false;
     ring_[static_cast<std::size_t>(b) & mask_].store(
         item, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    // Release store, not a release fence + relaxed store: equivalent for
+    // the thief's acquire load of bottom_, and visible to ThreadSanitizer,
+    // which does not model standalone fences.
+    bottom_.store(b + 1, std::memory_order_release);
     return true;
   }
 

@@ -15,6 +15,15 @@ namespace gns::graph {
 namespace {
 // Encodes the skin fraction * 1e6 as an int; -1 = unset (read GNS_SKIN).
 std::atomic<long long> g_skin_micro{-1};
+
+/// Cell index along one axis for a floored coordinate `c`, clamped to
+/// [0, n). The clamp happens in double: converting NaN, ±Inf or anything
+/// beyond INT_MAX to int is undefined behaviour. NaN lands in cell 0.
+int clamp_cell(double c, int n) {
+  if (!(c >= 0.0)) return 0;  // negative or NaN
+  if (c >= static_cast<double>(n - 1)) return n - 1;
+  return static_cast<int>(c);
+}
 }  // namespace
 
 double default_skin_fraction() {
@@ -52,11 +61,8 @@ CellList::CellList(double radius, Vec2 domain_min, Vec2 domain_max,
 }
 
 std::array<int, 2> CellList::cell_coords(Vec2 p) const {
-  int cx = static_cast<int>(std::floor((p.x - min_.x) / cell_size_));
-  int cy = static_cast<int>(std::floor((p.y - min_.y) / cell_size_));
-  cx = std::clamp(cx, 0, nx_ - 1);
-  cy = std::clamp(cy, 0, ny_ - 1);
-  return {cx, cy};
+  return {clamp_cell(std::floor((p.x - min_.x) / cell_size_), nx_),
+          clamp_cell(std::floor((p.y - min_.y) / cell_size_), ny_)};
 }
 
 int CellList::cell_of(Vec2 p) const {

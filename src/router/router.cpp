@@ -132,7 +132,7 @@ bool Router::start() {
   started_ = Clock::now();
   draining_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  acceptor_ = std::thread([this] { acceptor_loop(); });
+  acceptor_ = std::thread([this] { accept_loop(); });
   prober_ = std::thread([this] { probe_loop(); });
   GNS_INFO("router: fronting " << backends_.size() << " backends on "
                                << config_.host << ":" << port_);
@@ -204,7 +204,7 @@ std::vector<BackendSnapshot> Router::snapshot() const {
   return out;
 }
 
-void Router::acceptor_loop() {
+void Router::accept_loop() {
   while (!draining_.load(std::memory_order_acquire)) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, /*timeout_ms=*/100);

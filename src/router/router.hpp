@@ -148,7 +148,7 @@ class Router {
     AllDown             ///< nothing healthy at all
   };
 
-  void acceptor_loop();
+  void accept_loop();
   void probe_loop();
   void probe_backend(Backend& backend);
   void serve_client(std::shared_ptr<Session> session);

@@ -6,8 +6,8 @@
 /// A RolloutRequest is a plain-data description of one inference job: the
 /// seed position window, the scene conditioning, a step count, and an
 /// optional wall-clock deadline. Keeping the request free of ad::Tensor
-/// handles means client threads never share tape state with workers — each
-/// worker materializes its own tensors from the flat frames, so concurrent
+/// handles means client threads never share tape state with executor
+/// workers — each rollout chain materializes its own tensors from the flat frames, so concurrent
 /// jobs against one registered model share only immutable weights.
 
 #include <cstdint>
@@ -25,7 +25,11 @@ enum class JobStatus {
   DeadlineExceeded,  ///< deadline hit while queued or mid-rollout
   Cancelled,         ///< cancel() won the race before/while executing
   ModelNotFound,     ///< registry has no model under the requested name
-  ExecutionError,    ///< rollout threw (bad shapes, NaN guard, ...)
+  /// Request validation or the rollout threw: malformed window, frame
+  /// length or node attributes, non-positive steps, or a shape check
+  /// inside the model. Values are not screened: the serving path has no
+  /// isfinite check, so non-finite positions do not raise it by themselves.
+  ExecutionError,
   ShutDown,          ///< scheduler shut down without draining this job
 };
 

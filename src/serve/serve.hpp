@@ -9,7 +9,7 @@
 ///   ModelRegistry — named, hot-reloadable cache of loaded checkpoints
 ///                   (shared-ownership handles keep in-flight rollouts on
 ///                   the weights they started with);
-///   JobScheduler  — fixed worker pool + bounded FIFO queue executing
+///   JobScheduler  — bounded FIFO queue + executor task chains executing
 ///                   RolloutRequest jobs into RolloutResult futures, with
 ///                   per-job deadline/cancellation and typed queue-full
 ///                   rejection;

@@ -3,8 +3,11 @@
 #include "sr/simplify.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+
+#include "exec/parallel_for.hpp"
 
 namespace gns::sr {
 
@@ -20,36 +23,53 @@ std::vector<Op> paper_operator_set() {
 FitnessResult evaluate(const Expr& expr, const SrProblem& problem) {
   const int n = problem.num_samples();
   GNS_CHECK(n > 0);
-  double abs_sum = 0.0, sq_sum = 0.0;
-  bool bad = false;
-#pragma omp parallel for schedule(static) reduction(+ : abs_sum, sq_sum) \
-    reduction(|| : bad) if (n > 4096)
-  for (int i = 0; i < n; ++i) {
-    const double pred = expr.eval(problem.X[i]);
-    if (!std::isfinite(pred)) {
-      bad = true;
-    } else {
-      const double d = pred - problem.y[i];
-      abs_sum += std::abs(d);
-      sq_sum += d * d;
+  struct Lane {
+    double abs_sum = 0.0, sq_sum = 0.0;
+    bool bad = false;
+  };
+  const auto accumulate = [&expr, &problem](int begin, int end, Lane& lane) {
+    for (int i = begin; i < end; ++i) {
+      const double pred = expr.eval(problem.X[i]);
+      if (!std::isfinite(pred)) {
+        lane.bad = true;
+      } else {
+        const double d = pred - problem.y[i];
+        lane.abs_sum += std::abs(d);
+        lane.sq_sum += d * d;
+      }
+    }
+  };
+  Lane total;
+  if (n <= kParallelFitnessSamples) {
+    accumulate(0, n, total);
+  } else {
+    std::array<Lane, kFitnessLanes> lanes{};
+    exec::parallel_jobs(kFitnessLanes, true, [&](int l) {
+      const std::int64_t begin = std::int64_t{n} * l / kFitnessLanes;
+      const std::int64_t end = std::int64_t{n} * (l + 1) / kFitnessLanes;
+      accumulate(static_cast<int>(begin), static_cast<int>(end), lanes[l]);
+    });
+    for (const Lane& lane : lanes) {
+      total.abs_sum += lane.abs_sum;
+      total.sq_sum += lane.sq_sum;
+      total.bad = total.bad || lane.bad;
     }
   }
-  if (bad) return {kInf, kInf, false};
-  return {abs_sum / n, sq_sum / n, true};
+  if (total.bad) return {kInf, kInf, false};
+  return {total.abs_sum / n, total.sq_sum / n, true};
 }
 
 ScaledFitness evaluate_scaled(const Expr& expr, const SrProblem& problem) {
   const int n = problem.num_samples();
   GNS_CHECK(n > 0);
   std::vector<double> pred(n);
-  bool bad = false;
-#pragma omp parallel for schedule(static) reduction(|| : bad) if (n > 4096)
-  for (int i = 0; i < n; ++i) {
+  exec::parallel_for(n, n > kParallelFitnessSamples, [&](std::int64_t i) {
     pred[i] = expr.eval(problem.X[i]);
-    if (!std::isfinite(pred[i])) bad = true;
-  }
+  });
   ScaledFitness out;
-  if (bad) return out;
+  if (!std::all_of(pred.begin(), pred.end(),
+                   [](double p) { return std::isfinite(p); }))
+    return out;
   // Least-squares a, b for y ≈ a·pred + b.
   double mp = 0.0, my = 0.0;
   for (int i = 0; i < n; ++i) {
@@ -277,13 +297,12 @@ ParetoFront run_sr(const SrProblem& problem, const SrConfig& config) {
   for (int gen = 0; gen <= config.generations; ++gen) {
     // Fitness pass (parallel over individuals — each eval is independent).
     std::vector<ScaledFitness> fits(config.population);
-#pragma omp parallel for schedule(dynamic)
-    for (int i = 0; i < config.population; ++i) {
+    exec::parallel_for(config.population, true, [&](std::int64_t i) {
       fits[i] = evaluate_scaled(*population[i], problem);
       mae[i] = fits[i].valid ? fits[i].mae : kInf;
       adjusted[i] =
           mae[i] + config.parsimony * population[i]->complexity();
-    }
+    });
     // Offer the affine-wrapped champions to the Pareto front (serial:
     // the front is shared state).
     for (int i = 0; i < config.population; ++i) {

@@ -73,8 +73,17 @@ class ParetoFront {
   std::vector<ParetoEntry> slots_;
 };
 
+/// Fitness evaluation runs serially up to this many samples and in
+/// parallel above it.
+inline constexpr int kParallelFitnessSamples = 4096;
+/// Fixed lane count of evaluate()'s parallel sum: lane l accumulates the
+/// contiguous samples [n*l/k, n*(l+1)/k) in order and the lanes are
+/// summed in ascending order, so the result depends on n only — never on
+/// the executor's worker count.
+inline constexpr int kFitnessLanes = 16;
+
 /// MAE/MSE of an expression over a problem; NaN-producing expressions get
-/// +inf. OpenMP-parallel over samples for large datasets.
+/// +inf. Parallel over samples above kParallelFitnessSamples.
 struct FitnessResult {
   double mae = 0.0;
   double mse = 0.0;

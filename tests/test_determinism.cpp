@@ -1,69 +1,42 @@
-// Thread-count invariance (ISSUE: determinism checks).
+// Bitwise reproducibility across reruns and executor worker counts.
 //
-// Strategy, per substrate:
-//  - GNS / autograd: every parallel region is row-local (matmul rows,
+// Every parallel loop runs on the work-stealing executor with a
+// decomposition fixed by the problem size alone (exec/parallel_for.hpp):
+//  - GNS / autograd: parallel regions are row-local (matmul rows,
 //    layer-norm rows, gather/activation elementwise, scatter_add backward
 //    rows). The cross-row reductions — scatter_add forward and gather
 //    backward — run either serially (GNS_SIMD=0) or as CSR-transpose
 //    per-destination loops that accumulate contributions in ascending
-//    original-index order regardless of which thread owns a destination
-//    (GNS_SIMD=1). Either way no floating-point reassociation depends on
-//    the thread count, so rollouts are required to be BITWISE identical
-//    at 1 vs 8 threads.
-//  - MPM: p2g accumulates into per-thread buffers reduced in fixed thread
-//    order. That is bit-deterministic for a fixed OMP_NUM_THREADS (rerun
-//    invariance), but changing the thread count regroups the partial sums,
-//    reassociating the reduction; invariance across thread counts is
-//    therefore asserted to a tolerance (~1e-12 per step, 1e-9 over a
-//    short run) rather than bitwise. Making it bitwise would need a
-//    particle-ordered serial reduction per node — rejected for the
-//    serial-bottleneck cost; the tolerance is documented in DESIGN.md.
-//
-// Without OpenMP the thread count is pinned at 1 and these tests reduce to
-// rerun determinism, which must still hold.
+//    original-index order whichever worker owns a destination (GNS_SIMD=1).
+//  - MPM: P2G scatters into kP2gLanes fixed lanes reduced in ascending
+//    lane order.
+//  - SR: sr::evaluate sums serially up to kParallelFitnessSamples samples
+//    and over kFitnessLanes fixed lanes, reduced in ascending order, above.
+//  - CFD: every row sweep writes disjoint rows.
+// No floating-point reassociation depends on the worker count, so results
+// must be bitwise identical on rerun and at any GNS_EXEC_WORKERS. One
+// process sees one worker count (the global executor is sized once), so
+// the tests below check rerun identity and worker-count-free references;
+// the `_w1` ctest leg and the CI GNS_EXEC_WORKERS matrix rerun them at
+// other worker counts, and test_golden pins the outputs themselves.
 
 #include <gtest/gtest.h>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "ad/ops.hpp"
+#include "cfd/cfd.hpp"
 #include "core/trainer.hpp"
 #include "mpm/scenes.hpp"
 #include "mpm/solver.hpp"
+#include "sr/genetic.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
 namespace gns {
 namespace {
-
-/// Temporarily pins the OpenMP thread count; restores on destruction.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(int n) {
-#ifdef _OPENMP
-    previous_ = omp_get_max_threads();
-    omp_set_num_threads(n);
-#else
-    (void)n;
-#endif
-  }
-  ~ThreadCountGuard() {
-#ifdef _OPENMP
-    omp_set_num_threads(previous_);
-#endif
-  }
-  ThreadCountGuard(const ThreadCountGuard&) = delete;
-  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
-
- private:
-  int previous_ = 1;
-};
 
 // ---------- GNS rollout: bitwise invariance ----------
 
@@ -86,8 +59,7 @@ io::Trajectory seed_trajectory(int particles, std::uint64_t seed) {
   return traj;
 }
 
-std::vector<std::vector<double>> gns_rollout_with_threads(int threads) {
-  ThreadCountGuard guard(threads);
+std::vector<std::vector<double>> gns_rollout() {
   io::Dataset ds;
   ds.trajectories.push_back(seed_trajectory(12, 7));
   core::FeatureConfig fc;
@@ -111,20 +83,19 @@ std::vector<std::vector<double>> gns_rollout_with_threads(int threads) {
   return sim.rollout(window, /*steps=*/10, ctx);
 }
 
-TEST(ThreadInvariance, GnsRolloutIsBitwiseIdentical) {
-  const auto one = gns_rollout_with_threads(1);
-  const auto eight = gns_rollout_with_threads(8);
-  ASSERT_EQ(one.size(), eight.size());
-  for (std::size_t t = 0; t < one.size(); ++t) {
-    ASSERT_EQ(one[t].size(), eight[t].size());
-    for (std::size_t k = 0; k < one[t].size(); ++k)
-      EXPECT_EQ(one[t][k], eight[t][k])
-          << "frame " << t << " component " << k << " differs across "
-          << "thread counts";
+TEST(Determinism, GnsRolloutRerunIsBitwise) {
+  const auto first = gns_rollout();
+  const auto second = gns_rollout();
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t t = 0; t < first.size(); ++t) {
+    ASSERT_EQ(first[t].size(), second[t].size());
+    for (std::size_t k = 0; k < first[t].size(); ++k)
+      EXPECT_EQ(first[t][k], second[t][k])
+          << "frame " << t << " component " << k << " differs on rerun";
   }
 }
 
-TEST(ThreadInvariance, ScatterAddForwardAndBackwardBitwise) {
+TEST(Determinism, ScatterAddForwardAndBackwardBitwise) {
   // Large enough to clear the `if (work > 1<<15)` parallel thresholds.
   const int e = 40000, m = 4, nodes = 512;
   Rng rng(13);
@@ -133,25 +104,24 @@ TEST(ThreadInvariance, ScatterAddForwardAndBackwardBitwise) {
   std::vector<int> index(e);
   for (auto& i : index) i = static_cast<int>(rng.uniform_index(nodes));
 
-  auto run = [&](int threads) {
-    ThreadCountGuard guard(threads);
+  auto run = [&] {
     ad::Tensor a = ad::Tensor::from_vector(e, m, vals, true);
     ad::Tensor out = ad::scatter_add_rows(a, index, nodes);
     ad::Tensor loss = ad::sum(ad::square(out));
     loss.backward();
     return std::pair{out.vec(), a.grad()};
   };
-  const auto [out1, grad1] = run(1);
-  const auto [out8, grad8] = run(8);
+  const auto [out1, grad1] = run();
+  const auto [out8, grad8] = run();
   for (std::size_t i = 0; i < out1.size(); ++i) EXPECT_EQ(out1[i], out8[i]);
   for (std::size_t i = 0; i < grad1.size(); ++i)
     EXPECT_EQ(grad1[i], grad8[i]);
 }
 
-TEST(ThreadInvariance, GatherBackwardCsrBitwise) {
+TEST(Determinism, GatherBackwardCsrBitwise) {
   // The GNS_SIMD=1 gather backward parallelizes over destination rows via
   // the CSR transpose; a duplicate-heavy index makes the per-destination
-  // accumulation order matter. 1 vs 8 threads must agree bitwise.
+  // accumulation order matter. Reruns must agree bitwise.
   simd::set_enabled(true);
   const int e = 40000, m = 4, nodes = 512;
   Rng rng(17);
@@ -162,22 +132,21 @@ TEST(ThreadInvariance, GatherBackwardCsrBitwise) {
   for (std::size_t i = 0; i < index.size(); ++i)
     index[i] = (i % 2 == 0) ? 7 : static_cast<int>(rng.uniform_index(nodes));
 
-  auto run = [&](int threads) {
-    ThreadCountGuard guard(threads);
+  auto run = [&] {
     ad::Tensor a = ad::Tensor::from_vector(nodes, m, vals, true);
     ad::Tensor out = ad::gather_rows(a, index);
     ad::Tensor loss = ad::sum(ad::square(out));
     loss.backward();
     return a.grad();
   };
-  const auto grad1 = run(1);
-  const auto grad8 = run(8);
+  const auto grad1 = run();
+  const auto grad8 = run();
   ASSERT_EQ(grad1.size(), grad8.size());
   for (std::size_t i = 0; i < grad1.size(); ++i)
     EXPECT_EQ(grad1[i], grad8[i]);
 }
 
-// ---------- MPM: rerun-bitwise, cross-thread-count to tolerance ----------
+// ---------- MPM: rerun-bitwise ----------
 
 mpm::MpmSolver column_solver() {
   mpm::GranularSceneParams params;
@@ -189,16 +158,15 @@ mpm::MpmSolver column_solver() {
   return mpm::make_column_collapse(params, 0.15, 1.5).make_solver();
 }
 
-std::vector<mpm::Vec2d> mpm_positions_with_threads(int threads, int steps) {
-  ThreadCountGuard guard(threads);
+std::vector<mpm::Vec2d> mpm_positions(int steps) {
   mpm::MpmSolver solver = column_solver();
   solver.run(steps);
   return solver.particles().position;
 }
 
-TEST(ThreadInvariance, MpmRerunIsBitwiseAtFixedThreadCount) {
-  const auto a = mpm_positions_with_threads(4, 50);
-  const auto b = mpm_positions_with_threads(4, 50);
+TEST(Determinism, MpmRerunIsBitwise) {
+  const auto a = mpm_positions(50);
+  const auto b = mpm_positions(50);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].x, b[i].x);
@@ -206,27 +174,12 @@ TEST(ThreadInvariance, MpmRerunIsBitwiseAtFixedThreadCount) {
   }
 }
 
-TEST(ThreadInvariance, MpmCrossThreadCountWithinTolerance) {
-  const auto one = mpm_positions_with_threads(1, 50);
-  const auto eight = mpm_positions_with_threads(8, 50);
-  ASSERT_EQ(one.size(), eight.size());
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    max_diff = std::max(max_diff, std::abs(one[i].x - eight[i].x));
-    max_diff = std::max(max_diff, std::abs(one[i].y - eight[i].y));
-  }
-  // p2g's per-thread partial sums reassociate across thread counts; the
-  // drift over 50 steps stays far below feature resolution.
-  EXPECT_LT(max_diff, 1e-9);
-}
-
-TEST(ThreadInvariance, MpmSimdOnOffBitwise) {
+TEST(Determinism, MpmSimdOnOffBitwise) {
   // GNS_SIMD only swaps the batched-weights kernel and the reduction's
   // accumulate implementation for bitwise-identical twins; the MPM step
   // must therefore produce identical bits with the toggle on and off.
   auto run = [&](bool simd_on) {
     simd::set_enabled(simd_on);
-    ThreadCountGuard guard(4);
     mpm::MpmSolver solver = column_solver();
     solver.run(50);
     return solver.particles().position;
@@ -239,6 +192,103 @@ TEST(ThreadInvariance, MpmSimdOnOffBitwise) {
     EXPECT_EQ(off[i].x, on[i].x);
     EXPECT_EQ(off[i].y, on[i].y);
   }
+}
+
+// ---------- SR fitness: serial below the threshold, fixed lanes above ----------
+
+/// y = 1.5 x0 - x1^2 + noise over n samples.
+sr::SrProblem sr_problem(int n) {
+  sr::SrProblem problem;
+  problem.var_names = {"x0", "x1"};
+  problem.var_dims = {sr::Dim{}, sr::Dim{}};
+  Rng rng(41);
+  for (int i = 0; i < n; ++i) {
+    const double x0 = rng.uniform(-2.0, 2.0);
+    const double x1 = rng.uniform(-2.0, 2.0);
+    problem.X.push_back({x0, x1});
+    problem.y.push_back(1.5 * x0 - x1 * x1 + rng.uniform(-0.1, 0.1));
+  }
+  return problem;
+}
+
+/// 1.4 x0 - x1 * x1: close to the law, so every residual is non-trivial.
+sr::ExprPtr sr_candidate() {
+  return sr::Expr::binary(
+      sr::Op::Sub,
+      sr::Expr::binary(sr::Op::Mul, sr::Expr::constant(1.4),
+                       sr::Expr::variable(0)),
+      sr::Expr::binary(sr::Op::Mul, sr::Expr::variable(1),
+                       sr::Expr::variable(1)));
+}
+
+/// Serial sum over samples [begin, end) in index order.
+void serial_sums(const sr::Expr& expr, const sr::SrProblem& problem,
+                 int begin, int end, double& abs_sum, double& sq_sum) {
+  for (int i = begin; i < end; ++i) {
+    const double d = expr.eval(problem.X[i]) - problem.y[i];
+    abs_sum += std::abs(d);
+    sq_sum += d * d;
+  }
+}
+
+TEST(Determinism, SrEvaluateSmallIsThePlainSerialLoop) {
+  const sr::ExprPtr expr = sr_candidate();
+  for (const int n : {1000, sr::kParallelFitnessSamples}) {
+    const sr::SrProblem problem = sr_problem(n);
+    double abs_sum = 0.0, sq_sum = 0.0;
+    serial_sums(*expr, problem, 0, n, abs_sum, sq_sum);
+    const sr::FitnessResult fit = sr::evaluate(*expr, problem);
+    ASSERT_TRUE(fit.valid);
+    EXPECT_EQ(fit.mae, abs_sum / n) << "n " << n;
+    EXPECT_EQ(fit.mse, sq_sum / n) << "n " << n;
+  }
+}
+
+TEST(Determinism, SrEvaluateLargeIsBitwiseAndWorkerCountFree) {
+  const int n = 10000;
+  const sr::SrProblem problem = sr_problem(n);
+  const sr::ExprPtr expr = sr_candidate();
+  // Reference: the fixed-lane decomposition computed serially here, lanes
+  // summed in ascending order — it has no worker count to depend on.
+  double abs_sum = 0.0, sq_sum = 0.0;
+  for (int l = 0; l < sr::kFitnessLanes; ++l) {
+    double lane_abs = 0.0, lane_sq = 0.0;
+    serial_sums(*expr, problem, n * l / sr::kFitnessLanes,
+                n * (l + 1) / sr::kFitnessLanes, lane_abs, lane_sq);
+    abs_sum += lane_abs;
+    sq_sum += lane_sq;
+  }
+  const sr::FitnessResult first = sr::evaluate(*expr, problem);
+  const sr::FitnessResult second = sr::evaluate(*expr, problem);
+  ASSERT_TRUE(first.valid);
+  EXPECT_EQ(first.mae, second.mae);
+  EXPECT_EQ(first.mse, second.mse);
+  EXPECT_EQ(first.mae, abs_sum / n);
+  EXPECT_EQ(first.mse, sq_sum / n);
+}
+
+// ---------- CFD: rerun-bitwise on a grid large enough to run parallel ----------
+
+std::vector<double> cfd_fields_after(int steps) {
+  cfd::CfdConfig cfg;
+  cfg.nx = 96;  // 96 x 48 cells: above the parallel-sweep threshold
+  cfg.ny = 48;
+  cfg.pressure_iters = 40;
+  cfd::CfdSolver solver(cfg);
+  for (int s = 0; s < steps; ++s) solver.step();
+  std::vector<double> fields = solver.u();
+  fields.insert(fields.end(), solver.v().begin(), solver.v().end());
+  fields.insert(fields.end(), solver.pressure().begin(),
+                solver.pressure().end());
+  return fields;
+}
+
+TEST(Determinism, CfdRerunIsBitwise) {
+  const auto a = cfd_fields_after(8);
+  const auto b = cfd_fields_after(8);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(a[i], b[i]) << "field value " << i;
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "graph/neighbor_search.hpp"
 #include "util/rng.hpp"
@@ -67,6 +68,36 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{200, 0.3, 5}, SweepCase{300, 0.02, 6},
                       SweepCase{100, 1.5, 7},  // radius > domain: complete
                       SweepCase{64, 0.25, 8}));
+
+TEST(CellList, NonFinitePositionsLandInValidCells) {
+  // Out-of-domain coordinates clamp to the boundary cells and NaN lands in
+  // cell 0, so build and every query stay in bounds; the float->int cast
+  // happens only after the clamp (undefined behaviour otherwise, which
+  // -fsanitize=float-cast-overflow reports).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Vec2> pts = {
+      {0.5, 0.5},     {0.55, 0.5},    {nan, 0.5},      {0.5, nan},
+      {nan, nan},     {inf, 0.5},     {-inf, -inf},    {0.5, inf},
+      {1e300, 1e300}, {1e300, 1e300}, {-1e300, 0.02},  {0.02, 0.02},
+      {0.99, 0.99},   {1e300, 0.99}};
+  const double radius = 0.1;
+  const Graph slow = brute_force_radius_graph(pts, radius);
+  for (const double skin : {0.0, 0.05}) {
+    CellList cells(radius, {0.0, 0.0}, {1.0, 1.0}, skin);
+    cells.build(pts);
+    EXPECT_EQ(edge_set(cells.radius_graph(pts)), edge_set(slow))
+        << "skin " << skin;
+    for (int q = 0; q < static_cast<int>(pts.size()); ++q) {
+      std::vector<int> expected;
+      for (int e = 0; e < slow.num_edges(); ++e)
+        if (slow.receivers[e] == q) expected.push_back(slow.senders[e]);
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(cells.neighbors(pts, q), expected)
+          << "query " << q << " skin " << skin;
+    }
+  }
+}
 
 TEST(RadiusGraph, NoSelfEdgesByDefault) {
   Rng rng(9);
