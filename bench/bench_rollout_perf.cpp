@@ -1,26 +1,24 @@
-// Perf — steady-state rollout throughput under the zero-allocation
-// optimizations: tensor arena (GNS_ARENA), fused linear kernels
-// (GNS_FUSED), Verlet-skin neighbor reuse (GNS_SKIN), and SIMD graph/MPM
-// kernels (GNS_SIMD).
+// Perf — steady-state rollout throughput with Verlet-skin neighbor reuse
+// (GNS_SKIN) off and on. The fused MLP and SIMD graph/MPM kernels are
+// always on.
 //
-// Sweeps all 16 on/off combinations on the Fig-3 columns configuration
-// (held-out friction angle), reports steps/sec for each, and verifies that
-// every combination produces bitwise-identical rollout frames — the
-// optimizations trade allocations and passes for speed, never results.
+// Runs both settings on the Fig-3 columns configuration (held-out friction
+// angle), reports steps/sec and the neighbor-list reuse share for each,
+// and verifies that both produce bitwise-identical rollout frames — skin
+// reuse trades neighbor rebuilds for speed, never results.
 //
 // `--small` runs a scaled-down fixture (tiny model trained in seconds,
 // cached) for CI perf-smoke; the JSON then carries small=1.
 //
-// Output: BENCH_rollout.json in the bench cache with one
-// a{0,1}_f{0,1}_s{0,1}_v{0,1}_steps_per_sec field per combination plus
-// speedup_all_on, speedup_simd, and identical_outputs.
+// Output: BENCH_rollout.json in the bench cache with
+// skin{0,1}_steps_per_sec, skin{0,1}_reuse, speedup_skin and
+// identical_outputs.
 
 #include <array>
 #include <cstring>
 #include <string>
 
 #include "bench_common.hpp"
-#include "util/simd.hpp"
 
 using namespace gns;
 using namespace gns::bench;
@@ -81,45 +79,14 @@ LearnedSimulator small_simulator(const io::Dataset& ds) {
   return sim;
 }
 
-struct Combo {
-  bool arena;
-  bool fused;
-  bool skin;
-  bool simd;
-  explicit Combo(int mask)
-      : arena((mask & 8) != 0),
-        fused((mask & 4) != 0),
-        skin((mask & 2) != 0),
-        simd((mask & 1) != 0) {}
-  [[nodiscard]] std::string key() const {
-    std::string k = "a";
-    k += arena ? '1' : '0';
-    k += "_f";
-    k += fused ? '1' : '0';
-    k += "_s";
-    k += skin ? '1' : '0';
-    k += "_v";
-    k += simd ? '1' : '0';
-    return k;
-  }
-  void apply() const {
-    ad::set_arena_enabled(arena);
-    ad::set_fused_linear_enabled(fused);
-    graph::set_default_skin_fraction(skin ? kSkinFraction : 0.0);
-    simd::set_enabled(simd);
-  }
-};
-
-constexpr int kCombos = 16;
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool small =
       argc > 1 && std::strcmp(argv[1], "--small") == 0;
   print_header(
-      "Rollout perf: arena / fused kernels / Verlet-skin neighbor reuse",
-      "optimizations change cost, not results (bitwise-identical frames)");
+      "Rollout perf: Verlet-skin neighbor reuse off / on",
+      "skin reuse changes cost, not results (bitwise-identical frames)");
   configured_threads();
 
   io::Dataset test;
@@ -143,7 +110,7 @@ int main(int argc, char** argv) {
   const int reps = small ? 2 : 5;
   std::printf("\n%d particles, %d rollout steps, best of %d reps\n",
               traj.num_particles, steps, reps);
-  std::printf("%12s %14s %12s %10s\n", "combo", "steps/sec", "nbr reuse",
+  std::printf("%12s %14s %12s %10s\n", "skin", "steps/sec", "nbr reuse",
               "identical");
 
   auto& rebuilds =
@@ -151,69 +118,52 @@ int main(int argc, char** argv) {
   auto& reuses =
       obs::MetricsRegistry::global().counter("graph.neighbor.reuse");
 
-  // Reps are interleaved round-robin across the 16 combos (rather than
-  // timing each combo's reps back to back) so slow phases of a shared
-  // machine penalize every combo equally; best-of-reps then discards the
-  // noise floor.
+  // Reps alternate skin off / on (rather than timing each setting's reps
+  // back to back) so slow phases of a shared machine penalize both
+  // equally; best-of-reps then discards the noise floor.
   std::vector<std::vector<double>> baseline_frames;
-  std::array<double, kCombos> best{};
-  std::array<double, kCombos> reuse_frac{};
-  std::array<bool, kCombos> same{};
+  std::array<double, 2> best{};
+  std::array<double, 2> reuse_frac{};
+  std::array<bool, 2> same{};
   bool identical = true;
-  {
-    const Combo warmup(0);
-    warmup.apply();
-    (void)sim.rollout(win, steps, ctx);  // page in weights before timing
-  }
+  graph::set_default_skin_fraction(0.0);
+  (void)sim.rollout(win, steps, ctx);  // page in weights before timing
   for (int rep = 0; rep < reps; ++rep) {
-    for (int mask = 0; mask < kCombos; ++mask) {
-      const Combo combo(mask);
-      combo.apply();
+    for (int skin = 0; skin < 2; ++skin) {
+      graph::set_default_skin_fraction(skin ? kSkinFraction : 0.0);
       const std::uint64_t rb0 = rebuilds.value(), ru0 = reuses.value();
       Timer timer;
       const std::vector<std::vector<double>> frames =
           sim.rollout(win, steps, ctx);
-      best[mask] = std::max(best[mask], steps / timer.seconds());
+      best[skin] = std::max(best[skin], steps / timer.seconds());
       const std::uint64_t rb = rebuilds.value() - rb0;
       const std::uint64_t ru = reuses.value() - ru0;
-      reuse_frac[mask] =
+      reuse_frac[skin] =
           rb + ru > 0
               ? static_cast<double>(ru) / static_cast<double>(rb + ru)
               : 0.0;
-      if (rep == 0 && mask == 0) baseline_frames = frames;
-      same[mask] = frames == baseline_frames;
-      identical = identical && same[mask];
+      if (rep == 0 && skin == 0) baseline_frames = frames;
+      same[skin] = frames == baseline_frames;
+      identical = identical && same[skin];
     }
   }
-  std::vector<std::pair<std::string, double>> fields;
-  for (int mask = 0; mask < kCombos; ++mask) {
-    const Combo combo(mask);
-    std::printf("%12s %14.2f %11.0f%% %10s\n", combo.key().c_str(),
-                best[mask], 100.0 * reuse_frac[mask],
-                same[mask] ? "yes" : "NO");
-    fields.emplace_back(combo.key() + "_steps_per_sec", best[mask]);
-  }
-  const double baseline_sps = best[0];
-  const double all_on_sps = best[kCombos - 1];
-  // speedup_simd isolates GNS_SIMD: everything else on, simd on vs off.
-  const double simd_off_sps = best[kCombos - 2];
-  ad::set_arena_enabled(false);
-  ad::set_fused_linear_enabled(false);
   graph::set_default_skin_fraction(0.0);
-  simd::set_enabled(true);
 
-  const double speedup = baseline_sps > 0.0 ? all_on_sps / baseline_sps : 0.0;
-  const double speedup_simd =
-      simd_off_sps > 0.0 ? all_on_sps / simd_off_sps : 0.0;
+  std::vector<std::pair<std::string, double>> fields;
+  for (int skin = 0; skin < 2; ++skin) {
+    const std::string key = "skin" + std::to_string(skin);
+    std::printf("%12s %14.2f %11.0f%% %10s\n", skin ? "on" : "off",
+                best[skin], 100.0 * reuse_frac[skin],
+                same[skin] ? "yes" : "NO");
+    fields.emplace_back(key + "_steps_per_sec", best[skin]);
+    fields.emplace_back(key + "_reuse", reuse_frac[skin]);
+  }
+  const double speedup = best[0] > 0.0 ? best[1] / best[0] : 0.0;
   print_rule();
-  std::printf(
-      "all-on speedup over all-off: %.2fx   simd on/off (rest on): %.2fx\n"
-      "outputs %s\n",
-      speedup, speedup_simd,
-      identical ? "bitwise identical across all 16 combos"
-                : "DIVERGED — optimization bug");
-  fields.emplace_back("speedup_all_on", speedup);
-  fields.emplace_back("speedup_simd", speedup_simd);
+  std::printf("skin on/off speedup: %.2fx   outputs %s\n", speedup,
+              identical ? "bitwise identical"
+                        : "DIVERGED — skin reuse bug");
+  fields.emplace_back("speedup_skin", speedup);
   fields.emplace_back("identical_outputs", identical ? 1.0 : 0.0);
   fields.emplace_back("particles", static_cast<double>(traj.num_particles));
   fields.emplace_back("rollout_steps", static_cast<double>(steps));

@@ -1,84 +1,22 @@
 #pragma once
 
 /// \file arena.hpp
-/// Per-thread buffer pool ("tensor arena") for TensorImpl storage.
+/// Former tensor-arena frame marker, now empty.
 ///
-/// Steady-state rollouts create and destroy the same tensor shapes every
-/// step; under glibc malloc the multi-megabyte edge-latent buffers are
-/// mmap-backed, so each step pays munmap + fresh page faults. The arena
-/// breaks that cycle: while a frame is marked by an ArenaScope, destroyed
-/// tensors donate their storage vectors to a thread-local free list keyed
-/// by power-of-two size class, and new op results draw from that list in
-/// O(1) instead of allocating.
-///
-/// Lifetime rules (see DESIGN.md "Steady-state rollout memory model"):
-///  * Pooling engages only while (a) the global switch is on
-///    (set_arena_enabled / GNS_ARENA env) and (b) the current thread is
-///    inside at least one ArenaScope. Outside a scope, acquire/recycle
-///    degrade to plain allocation/deallocation, so code that never opens a
-///    scope is byte-for-byte unaffected.
-///  * A recycled buffer is only ever taken from a *destroyed* TensorImpl,
-///    so pooled storage can never alias a live tensor.
-///  * Buffers are zero-filled on acquire, exactly like a freshly resized
-///    std::vector — results are bitwise identical with the arena on or off.
-///  * The pool persists across frames (that is the point: step N+1 reuses
-///    step N's buffers); ArenaScope exit at depth 0 just flushes the
-///    ad.arena.{hit,miss} counters and the ad.arena.bytes_live gauge.
-///    arena_clear() frees a thread's pool outright.
-///
-/// The pool is bounded (per-class entry cap + total byte cap) so a shape
-/// change cannot grow it without limit; over-cap buffers are simply freed.
-
-#include <cstddef>
-#include <cstdint>
-#include <vector>
+/// Tensor storage is plain std::vector allocation: a per-thread buffer
+/// pool was measured neutral on steps/s while multiplying peak RSS several
+/// times over (DESIGN.md §7), so it was removed. ArenaScope remains only
+/// because the benchmark's step replay (perfbench/src/layers.cpp) still
+/// opens one per step; delete it together with those call sites.
 
 namespace gns::ad {
 
-/// Global arena switch. Defaults to the GNS_ARENA environment variable
-/// (unset/"0" = off). Runtime-togglable; takes effect at the next
-/// acquire/recycle.
-[[nodiscard]] bool arena_enabled();
-void set_arena_enabled(bool enabled);
-
-/// RAII frame marker: pooling is active on this thread while at least one
-/// ArenaScope is alive (and the global switch is on). Nestable; typically
-/// one scope wraps one simulator step or one training step.
+/// No-op RAII marker; constructing one has no effect.
 class ArenaScope {
  public:
-  ArenaScope();
-  ~ArenaScope();
+  ArenaScope() {}
   ArenaScope(const ArenaScope&) = delete;
   ArenaScope& operator=(const ArenaScope&) = delete;
 };
-
-/// Counters of the calling thread's pool (cumulative since thread start).
-struct ArenaStats {
-  std::uint64_t hits = 0;      ///< acquires served from the pool
-  std::uint64_t misses = 0;    ///< acquires that had to allocate
-  std::uint64_t recycled = 0;  ///< buffers parked for reuse
-  std::size_t bytes_pooled = 0;  ///< bytes currently parked in the pool
-};
-[[nodiscard]] ArenaStats arena_thread_stats();
-
-/// Frees every buffer in the calling thread's pool.
-void arena_clear();
-
-namespace arena {
-
-/// Leaves `out` sized to `n` elements, all zero — from the pool when the
-/// arena is active on this thread, freshly allocated otherwise. Exactly
-/// equivalent to `out = std::vector<double>(n)`.
-void acquire(std::vector<double>& out, std::size_t n);
-
-/// Same, but filled with `value` instead of zero.
-void acquire_fill(std::vector<double>& out, std::size_t n, double value);
-
-/// Parks `v`'s storage for reuse when the arena is active on this thread
-/// (and the pool has room); otherwise lets it free normally. Called by
-/// ~TensorImpl for the data and grad buffers.
-void recycle(std::vector<double>& v) noexcept;
-
-}  // namespace arena
 
 }  // namespace gns::ad

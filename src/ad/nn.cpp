@@ -82,24 +82,16 @@ Mlp::Mlp(int in_features, int hidden_size, int hidden_layers,
 }
 
 Tensor Mlp::forward(const Tensor& x) const {
+  // One fused kernel per layer instead of matmul/add/act tensors; bitwise
+  // identical to chaining Linear::forward and relu/tanh_op (see ops.hpp).
+  const FusedAct hidden_act =
+      (activation_ == Activation::ReLU) ? FusedAct::ReLU : FusedAct::Tanh;
   Tensor h = x;
-  if (fused_linear_enabled()) {
-    // Fused path: one kernel per layer instead of matmul/add/act tensors.
-    // Bitwise identical to the unfused chain below (see ops.hpp).
-    const FusedAct hidden_act =
-        (activation_ == Activation::ReLU) ? FusedAct::ReLU : FusedAct::Tanh;
-    for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
-      h = linear_act(h, layers_[i].weight(), layers_[i].bias(), hidden_act);
-    }
-    h = linear_act(h, layers_.back().weight(), layers_.back().bias(),
-                   FusedAct::Identity);
-  } else {
-    for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
-      h = layers_[i].forward(h);
-      h = (activation_ == Activation::ReLU) ? relu(h) : tanh_op(h);
-    }
-    h = layers_.back().forward(h);
+  for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
+    h = linear_act(h, layers_[i].weight(), layers_[i].bias(), hidden_act);
   }
+  h = linear_act(h, layers_.back().weight(), layers_.back().bias(),
+                 FusedAct::Identity);
   if (norm_) h = norm_->forward(h);
   return h;
 }

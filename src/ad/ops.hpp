@@ -78,18 +78,13 @@ enum class FusedAct { Identity, ReLU, Tanh };
 
 /// Fused act(x·W + b): one pass over each output tile instead of three
 /// tensors (matmul, +bias, activation). `b` is [1,M] or undefined (no
-/// bias). Forward values and backward gradients are bitwise identical to
-/// the unfused op chain — the kernels replicate matmul's accumulation
-/// order exactly — so the fused path can be toggled freely without
-/// perturbing rollouts or training (tests/test_nn.cpp asserts equality).
+/// bias). Mlp::forward always runs this kernel. Forward values and
+/// backward gradients are bitwise identical to the unfused op chain
+/// (matmul, add, relu/tanh_op) — the kernels replicate matmul's
+/// accumulation order exactly — and that chain is the oracle
+/// tests/test_nn.cpp checks it against.
 Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
                   FusedAct act);
-
-/// Global switch for Mlp's fused forward path. Defaults to the GNS_FUSED
-/// environment variable (unset/"0" = off, i.e. the reference unfused
-/// op-chain path used by gradcheck cross-validation).
-[[nodiscard]] bool fused_linear_enabled();
-void set_fused_linear_enabled(bool enabled);
 
 // ---- Reductions -------------------------------------------------------------
 

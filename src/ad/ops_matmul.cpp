@@ -1,7 +1,4 @@
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -10,6 +7,7 @@
 #include "ad/ops.hpp"
 #include "exec/parallel_for.hpp"
 #include "obs/trace.hpp"
+#include "util/simd.hpp"
 
 namespace gns::ad {
 
@@ -101,7 +99,7 @@ void fused_row_scalar(const Real* arow, const Real* w, const Real* bias,
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
-#define GNS_FUSED_AVX2_KERNEL 1
+#define GNS_AVX2_KERNELS 1
 
 /// One NV*4-column block of one fused output row, AVX2. Bitwise-identical
 /// to fused_row_scalar: separate _mm256_mul_pd / _mm256_add_pd (never FMA
@@ -181,20 +179,15 @@ __attribute__((target("avx2"))) void fused_row_avx2(const Real* arow,
     crow[j] = v;
   }
 }
-
-bool cpu_has_avx2() {
-  static const bool has = __builtin_cpu_supports("avx2") != 0;
-  return has;
-}
-#endif  // GNS_FUSED_AVX2_KERNEL
+#endif  // GNS_AVX2_KERNELS
 
 /// Fused forward: per output row, gemm accumulation + bias + activation in
 /// one pass (see the row kernels above for the bitwise-identity argument).
 void fused_linear_fwd(const Real* a, const Real* w, const Real* bias, Real* c,
                       int n, int k, int m, FusedAct act) {
   const std::int64_t work = static_cast<std::int64_t>(n) * k * m;
-#ifdef GNS_FUSED_AVX2_KERNEL
-  if (cpu_has_avx2()) {
+#ifdef GNS_AVX2_KERNELS
+  if (simd::cpu_has_avx2()) {
     exec::parallel_for(n, work > 1 << 16, [&](std::int64_t row) {
       const int i = static_cast<int>(row);
       fused_row_avx2(a + static_cast<std::size_t>(i) * k, w, bias,
@@ -225,26 +218,7 @@ Real act_grad_from_output(FusedAct act, Real out) {
   return Real(1);
 }
 
-// -1 = unset (read GNS_FUSED on first query), else 0/1.
-std::atomic<int> g_fused_state{-1};
-
 }  // namespace
-
-bool fused_linear_enabled() {
-  int s = g_fused_state.load(std::memory_order_relaxed);
-  if (s < 0) {
-    const char* env = std::getenv("GNS_FUSED");
-    s = (env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0)
-            ? 1
-            : 0;
-    g_fused_state.store(s, std::memory_order_relaxed);
-  }
-  return s != 0;
-}
-
-void set_fused_linear_enabled(bool enabled) {
-  g_fused_state.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   GNS_TRACE_SCOPE("ad.ops.matmul");
@@ -328,7 +302,7 @@ Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
         std::vector<Real> dpre_store;
         const Real* dpre = go;
         if (act != FusedAct::Identity) {
-          arena::acquire(dpre_store, static_cast<std::size_t>(n) * m);
+          dpre_store.resize(static_cast<std::size_t>(n) * m);
           const Real* ov = self.data.data();
           const std::int64_t total = static_cast<std::int64_t>(n) * m;
           for (std::int64_t i = 0; i < total; ++i)
@@ -351,7 +325,6 @@ Tensor linear_act(const Tensor& x, const Tensor& w, const Tensor& b,
             for (int c = 0; c < m; ++c)
               pb->grad[c] += dpre[static_cast<std::size_t>(r) * m + c];
         }
-        arena::recycle(dpre_store);
       });
   fused_linear_fwd(x.data(), w.data(), has_bias ? b.data() : nullptr,
                    out.data(), n, k, m, act);

@@ -31,8 +31,7 @@ Tensor Tensor::full(int rows, int cols, Real value, bool requires_grad) {
   auto impl = std::make_shared<TensorImpl>();
   impl->rows = rows;
   impl->cols = cols;
-  arena::acquire_fill(impl->data, static_cast<std::size_t>(rows) * cols,
-                      value);
+  impl->data.assign(static_cast<std::size_t>(rows) * cols, value);
   impl->requires_grad = requires_grad;
   return Tensor(std::move(impl));
 }
@@ -144,7 +143,7 @@ Tensor make_op_result(int rows, int cols, std::vector<TensorImplPtr> parents,
   auto impl = std::make_shared<TensorImpl>();
   impl->rows = rows;
   impl->cols = cols;
-  arena::acquire(impl->data, static_cast<std::size_t>(rows) * cols);
+  impl->data.assign(static_cast<std::size_t>(rows) * cols, Real(0));
   if (t_grad_enabled) {
     bool any = false;
     for (const auto& p : parents) {

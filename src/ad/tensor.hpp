@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "ad/arena.hpp"
 #include "util/check.hpp"
 
 namespace gns::ad {
@@ -43,10 +42,7 @@ class Tensor;
 struct TensorImpl;
 using TensorImplPtr = std::shared_ptr<TensorImpl>;
 
-/// Node of the autograd tape. On destruction the data/grad storage is
-/// donated to the thread-local tensor arena when one is active (see
-/// arena.hpp), so steady-state rollouts recycle buffers instead of hitting
-/// the allocator every op.
+/// Node of the autograd tape.
 struct TensorImpl {
   int rows = 0;
   int cols = 0;
@@ -55,10 +51,6 @@ struct TensorImpl {
   bool requires_grad = false;
 
   TensorImpl() = default;
-  ~TensorImpl() {
-    arena::recycle(data);
-    arena::recycle(grad);
-  }
   TensorImpl(const TensorImpl&) = delete;
   TensorImpl& operator=(const TensorImpl&) = delete;
 
@@ -71,7 +63,7 @@ struct TensorImpl {
     return static_cast<std::int64_t>(rows) * cols;
   }
   void ensure_grad() {
-    if (grad.empty()) arena::acquire(grad, data.size());
+    if (grad.empty()) grad.assign(data.size(), Real(0));
   }
 };
 

@@ -157,9 +157,6 @@ bool BatchedRollout::step_once(const BatchedSimulator::StepGate& gate) {
     step_contexts_.push_back(contexts_[g]);
     step_caches_.push_back(caches_[g].get());
   }
-  // Per-step arena frame: tensors from this step are recycled once the
-  // sliding windows release them.
-  ad::ArenaScope arena_frame;
   std::vector<ad::Tensor> next =
       batched_.step(step_windows_, step_contexts_, nullptr, step_caches_);
 

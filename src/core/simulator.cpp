@@ -102,9 +102,6 @@ std::vector<std::vector<double>> LearnedSimulator::rollout(
   std::vector<std::vector<double>> frames;
   frames.reserve(steps);
   for (int s = 0; s < steps; ++s) {
-    // Per-step arena frame: every tensor this step allocates is recycled
-    // for the next step once the window slides past it.
-    ad::ArenaScope arena_frame;
     ad::Tensor next = step(window, context, neighbor_cache);
     frames.push_back(tensor_to_frame(next));
     window.erase(window.begin());

@@ -52,10 +52,10 @@ class LearnedSimulator {
       const;
 
   /// Fast inference rollout: taping disabled, window slides in place.
-  /// Returns all predicted frames (not including the seed window). Runs
-  /// each step inside an ad::ArenaScope and reuses a Verlet-skin neighbor
-  /// list (skin = graph::default_skin_fraction() * connectivity radius);
-  /// results are bitwise identical to the naive per-step path.
+  /// Returns all predicted frames (not including the seed window). Reuses
+  /// a Verlet-skin neighbor list (skin = graph::default_skin_fraction() *
+  /// connectivity radius); results are bitwise identical to the naive
+  /// per-step path.
   [[nodiscard]] std::vector<std::vector<double>> rollout(
       const Window& initial_window, int steps,
       const SceneContext& context) const;

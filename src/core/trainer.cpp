@@ -67,9 +67,6 @@ TrainReport train_gns(LearnedSimulator& sim, const io::Dataset& dataset,
 
   for (int step = 0; step < config.steps; ++step) {
     GNS_TRACE_SCOPE_I("core.trainer.step", step);
-    // Per-step arena frame: the tape from this step (freed when `loss`
-    // and `win` go out of scope) is recycled into the next step's ops.
-    ad::ArenaScope arena_frame;
     step_count.add();
     const auto& traj = dataset.trajectories[rng.uniform_index(
         dataset.trajectories.size())];

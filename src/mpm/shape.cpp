@@ -82,7 +82,7 @@ void shape_weights_batch(ShapeKind kind, const double* x, int count, double h,
                          ShapeWeightsBatch& out) {
   GNS_DCHECK(count >= 0 && count <= kShapeBatch);
 #ifdef GNS_MPM_AVX2_KERNEL
-  if (kind == ShapeKind::QuadraticBSpline && simd::active()) {
+  if (kind == ShapeKind::QuadraticBSpline && simd::cpu_has_avx2()) {
     batch_bspline_avx2(x, count, h, out);
     return;
   }

@@ -462,8 +462,8 @@ void JobScheduler::resolve(Job&& job, RolloutResult result) {
 /// One in-flight rollout chain: preflighted on its first task, then
 /// advanced one step per task so a long rollout never monopolizes a worker.
 /// Tensors migrate between executor workers across tasks; that is safe
-/// because arena buffers are plain heap vectors (ad/arena.cpp) and each
-/// task re-enters NoGradGuard for its own thread-local tape flag.
+/// because tensor storage is plain heap vectors and each task re-enters
+/// NoGradGuard for its own thread-local tape flag.
 struct JobScheduler::ChainState {
   std::vector<Job> jobs;
   std::vector<RolloutResult> results;

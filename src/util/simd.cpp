@@ -1,24 +1,15 @@
 #include "util/simd.hpp"
 
-#include <atomic>
-#include <cstdlib>
-
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
-#define GNS_SIMD_AVX2_KERNEL 1
+#define GNS_AVX2_KERNELS 1
 #endif
 
 namespace gns::simd {
 
 namespace {
 
-// -1 = unset (read GNS_SIMD on first query), else 0/1. Default ON: the
-// kernels are bitwise equal to the scalar references, so there is nothing
-// to opt into — GNS_SIMD=0 exists to pin the reference path (CI sanitizer
-// legs, A/B benches).
-std::atomic<int> g_simd_state{-1};
-
-#ifdef GNS_SIMD_AVX2_KERNEL
+#ifdef GNS_AVX2_KERNELS
 
 __attribute__((target("avx2"))) void copy_avx2(double* dst, const double* src,
                                                std::size_t n) {
@@ -88,26 +79,12 @@ __attribute__((target("avx2"))) void norm_affine_avx2(
   for (; i < n; ++i) y[i] = gamma[i] * (x[i] - mu) * inv_s + beta[i];
 }
 
-#endif  // GNS_SIMD_AVX2_KERNEL
+#endif  // GNS_AVX2_KERNELS
 
 }  // namespace
 
-bool enabled() {
-  int s = g_simd_state.load(std::memory_order_relaxed);
-  if (s < 0) {
-    const char* env = std::getenv("GNS_SIMD");
-    s = (env != nullptr && env[0] == '0' && env[1] == '\0') ? 0 : 1;
-    g_simd_state.store(s, std::memory_order_relaxed);
-  }
-  return s != 0;
-}
-
-void set_enabled(bool enabled) {
-  g_simd_state.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
 bool cpu_has_avx2() {
-#ifdef GNS_SIMD_AVX2_KERNEL
+#ifdef GNS_AVX2_KERNELS
   static const bool has = __builtin_cpu_supports("avx2") != 0;
   return has;
 #else
@@ -115,11 +92,9 @@ bool cpu_has_avx2() {
 #endif
 }
 
-bool active() { return enabled() && cpu_has_avx2(); }
-
 void copy(double* dst, const double* src, std::size_t n) {
-#ifdef GNS_SIMD_AVX2_KERNEL
-  if (active()) {
+#ifdef GNS_AVX2_KERNELS
+  if (cpu_has_avx2()) {
     copy_avx2(dst, src, n);
     return;
   }
@@ -128,8 +103,8 @@ void copy(double* dst, const double* src, std::size_t n) {
 }
 
 void accumulate(double* dst, const double* src, std::size_t n) {
-#ifdef GNS_SIMD_AVX2_KERNEL
-  if (active()) {
+#ifdef GNS_AVX2_KERNELS
+  if (cpu_has_avx2()) {
     accumulate_avx2(dst, src, n);
     return;
   }
@@ -139,8 +114,8 @@ void accumulate(double* dst, const double* src, std::size_t n) {
 
 void accumulate_scaled(double* dst, const double* src, double scale,
                        std::size_t n) {
-#ifdef GNS_SIMD_AVX2_KERNEL
-  if (active()) {
+#ifdef GNS_AVX2_KERNELS
+  if (cpu_has_avx2()) {
     accumulate_scaled_avx2(dst, src, scale, n);
     return;
   }
@@ -150,8 +125,8 @@ void accumulate_scaled(double* dst, const double* src, double scale,
 
 void norm_affine(double* y, const double* x, const double* gamma,
                  const double* beta, double mu, double inv_s, std::size_t n) {
-#ifdef GNS_SIMD_AVX2_KERNEL
-  if (active()) {
+#ifdef GNS_AVX2_KERNELS
+  if (cpu_has_avx2()) {
     norm_affine_avx2(y, x, gamma, beta, mu, inv_s, n);
     return;
   }

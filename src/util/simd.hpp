@@ -12,37 +12,23 @@
 ///    IEEE ops in the same order as the scalar loop;
 ///  * the AVX2 twin is compiled with `__attribute__((target("avx2")))`
 ///    inside a baseline-ISA translation unit and selected at runtime via
-///    `__builtin_cpu_supports`, so one binary runs everywhere;
-///  * a process-wide toggle (`GNS_SIMD`, **default on**; unlike GNS_FUSED
-///    it is opt-out — set GNS_SIMD=0 to force the scalar reference paths)
-///    lets CI and benches pin either path.
+///    `__builtin_cpu_supports`, so one binary runs everywhere; the scalar
+///    body is the fallback for CPUs (or non-x86 builds) without AVX2.
 ///
-/// These kernels only vectorize across *independent* elements (row copies,
-/// elementwise accumulate, the per-element normalize pass of layer_norm).
-/// Reductions keep their scalar accumulation order — that is what makes
-/// the toggle bitwise-invisible.
+/// There is no switch: the dispatch is on hardware only. These kernels
+/// only vectorize across *independent* elements (row copies, elementwise
+/// accumulate, the per-element normalize pass of layer_norm). Reductions
+/// keep their scalar accumulation order, so a CPU without AVX2 produces the
+/// same bits (tests/test_ops_graph.cpp checks each kernel against a plain
+/// loop).
 
 #include <cstddef>
 
 namespace gns::simd {
 
-/// True when SIMD kernels are enabled (GNS_SIMD unset or != "0", or the
-/// last set_enabled call said so). Cheap: one relaxed atomic load.
-[[nodiscard]] bool enabled();
-
-/// Programmatic override of GNS_SIMD (used by benches/tests to sweep both
-/// paths in one process).
-void set_enabled(bool enabled);
-
-/// Runtime CPU check, cached after the first call. False on non-x86
-/// builds.
+/// Runtime CPU check, cached after the first call: true when the AVX2
+/// bodies run. False on non-x86 builds.
 [[nodiscard]] bool cpu_has_avx2();
-
-/// enabled() && cpu_has_avx2(): the vector bodies actually run. Callers
-/// that restructure control flow (e.g. CSR-parallel vs legacy-serial
-/// scatter) should branch on enabled() alone so GNS_SIMD=0 always means
-/// "the exact pre-SIMD code path", with or without AVX2 hardware.
-[[nodiscard]] bool active();
 
 /// dst[0..n) = src[0..n). Pure copy — trivially bitwise.
 void copy(double* dst, const double* src, std::size_t n);

@@ -5,9 +5,9 @@
 //  - GNS / autograd: parallel regions are row-local (matmul rows,
 //    layer-norm rows, gather/activation elementwise, scatter_add backward
 //    rows). The cross-row reductions — scatter_add forward and gather
-//    backward — run either serially (GNS_SIMD=0) or as CSR-transpose
-//    per-destination loops that accumulate contributions in ascending
-//    original-index order whichever worker owns a destination (GNS_SIMD=1).
+//    backward — run as CSR-transpose per-destination loops that accumulate
+//    contributions in ascending original-index order whichever worker owns
+//    a destination.
 //  - MPM: P2G scatters into kP2gLanes fixed lanes reduced in ascending
 //    lane order.
 //  - SR: sr::evaluate sums serially up to kParallelFitnessSamples samples
@@ -33,7 +33,6 @@
 #include "mpm/solver.hpp"
 #include "sr/genetic.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace gns {
 namespace {
@@ -119,10 +118,9 @@ TEST(Determinism, ScatterAddForwardAndBackwardBitwise) {
 }
 
 TEST(Determinism, GatherBackwardCsrBitwise) {
-  // The GNS_SIMD=1 gather backward parallelizes over destination rows via
-  // the CSR transpose; a duplicate-heavy index makes the per-destination
+  // The gather backward parallelizes over destination rows via the CSR
+  // transpose; a duplicate-heavy index makes the per-destination
   // accumulation order matter. Reruns must agree bitwise.
-  simd::set_enabled(true);
   const int e = 40000, m = 4, nodes = 512;
   Rng rng(17);
   std::vector<ad::Real> vals(static_cast<std::size_t>(nodes) * m);
@@ -171,26 +169,6 @@ TEST(Determinism, MpmRerunIsBitwise) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].x, b[i].x);
     EXPECT_EQ(a[i].y, b[i].y);
-  }
-}
-
-TEST(Determinism, MpmSimdOnOffBitwise) {
-  // GNS_SIMD only swaps the batched-weights kernel and the reduction's
-  // accumulate implementation for bitwise-identical twins; the MPM step
-  // must therefore produce identical bits with the toggle on and off.
-  auto run = [&](bool simd_on) {
-    simd::set_enabled(simd_on);
-    mpm::MpmSolver solver = column_solver();
-    solver.run(50);
-    return solver.particles().position;
-  };
-  const auto off = run(false);
-  const auto on = run(true);
-  simd::set_enabled(true);
-  ASSERT_EQ(off.size(), on.size());
-  for (std::size_t i = 0; i < off.size(); ++i) {
-    EXPECT_EQ(off[i].x, on[i].x);
-    EXPECT_EQ(off[i].y, on[i].y);
   }
 }
 

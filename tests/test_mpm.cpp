@@ -11,7 +11,6 @@
 #include "mpm/shape.hpp"
 #include "mpm/solver.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace gns::mpm {
 namespace {
@@ -211,27 +210,6 @@ TEST(MpmSolver, DeterministicAcrossRuns) {
                      b.particles().position[i].x);
     EXPECT_DOUBLE_EQ(a.particles().position[i].y,
                      b.particles().position[i].y);
-  }
-}
-
-TEST(MpmSolver, SimdToggleIsBitwiseInvisible) {
-  // GNS_SIMD swaps the batched shape-weight kernel and the reduction's
-  // accumulate for bitwise-identical twins; multiple steps also regress
-  // the lazy block clearing — stale per-thread buffer data from step k
-  // must never leak into step k+1.
-  auto run = [&](bool simd_on) {
-    gns::simd::set_enabled(simd_on);
-    MpmSolver solver = small_column_solver(30.0);
-    solver.run(5);
-    return solver.particles().position;
-  };
-  const auto off = run(false);
-  const auto on = run(true);
-  gns::simd::set_enabled(true);
-  ASSERT_EQ(off.size(), on.size());
-  for (std::size_t i = 0; i < off.size(); ++i) {
-    EXPECT_EQ(off[i].x, on[i].x);
-    EXPECT_EQ(off[i].y, on[i].y);
   }
 }
 

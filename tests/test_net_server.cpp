@@ -601,14 +601,19 @@ TEST(NetServer, RejectionsAreCountedPerCodeWithLiveGauges) {
     Client client(h.client_config());
     EXPECT_TRUE(client.rollout(small_request(*h.sim, 2)).ok());
   });
+  // The server sets both gauges just after submit(), so the queue can show
+  // the job before the gauges do: wait on all three.
+  auto& inflight = metrics.gauge("net_t9.inflight");
+  auto& queue_depth = metrics.gauge("net_t9.scheduler_queue_depth");
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (h.scheduler->queue_depth() < 1) {
+  while (h.scheduler->queue_depth() < 1 || inflight.value() < 1.0 ||
+         queue_depth.value() < 1.0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(metrics.gauge("net_t9.inflight").value(), 1.0);
-  EXPECT_EQ(metrics.gauge("net_t9.scheduler_queue_depth").value(), 1.0);
+  EXPECT_EQ(inflight.value(), 1.0);
+  EXPECT_EQ(queue_depth.value(), 1.0);
 
   {
     ClientConfig no_retry = h.client_config();

@@ -156,13 +156,6 @@ TEST(Mlp, LearnsLinearMap) {
 
 // ---- Fused linear kernels ---------------------------------------------------
 
-/// Restores the fused-path switch on scope exit.
-struct FusedSwitchGuard {
-  FusedSwitchGuard() : previous(fused_linear_enabled()) {}
-  ~FusedSwitchGuard() { set_fused_linear_enabled(previous); }
-  bool previous;
-};
-
 Tensor random_input(int rows, int cols, unsigned seed) {
   Rng rng(seed);
   std::vector<Real> data(static_cast<std::size_t>(rows) * cols);
@@ -246,34 +239,53 @@ TEST(FusedLinear, GradientsMatchUnfusedBitwise) {
   EXPECT_EQ(grads(true), grads(false));
 }
 
-TEST(FusedLinear, MlpForwardIdenticalUnderSwitch) {
-  // Mlp::forward picks the fused path from the global switch; both paths
-  // must produce identical outputs and gradients (ReLU and Tanh nets,
-  // with and without the output LayerNorm).
-  FusedSwitchGuard guard;
-  for (Activation act : {Activation::ReLU, Activation::Tanh}) {
-    Rng rng(49);
-    Mlp mlp(5, 12, 2, 3, rng, /*output_layer_norm=*/true, act);
-    const Tensor x = random_input(7, 5, 50);
-    auto run = [&]() {
-      mlp.zero_grad();
+TEST(FusedLinear, MlpForwardMatchesLinearChain) {
+  // Mlp::forward always runs the fused kernel. The oracle is the same net
+  // built by hand from Linear::forward (matmul + add) and relu/tanh_op,
+  // with weights drawn from an identically seeded Rng: outputs and
+  // gradients must be equal bitwise (ReLU and Tanh nets, with and without
+  // the output LayerNorm).
+  for (bool layer_norm : {false, true}) {
+    for (Activation act : {Activation::ReLU, Activation::Tanh}) {
+      Rng rng(49);
+      Mlp mlp(5, 12, 2, 3, rng, layer_norm, act);
+      Rng ref_rng(49);
+      const std::vector<Linear> layers{Linear(5, 12, ref_rng),
+                                       Linear(12, 12, ref_rng),
+                                       Linear(12, 3, ref_rng)};
+      const LayerNorm norm(3);
+      const Tensor x = random_input(7, 5, 50);
+
+      auto flatten = [](const Tensor& y, const std::vector<Tensor>& params) {
+        std::vector<Real> flat = y.vec();
+        for (const auto& p : params)
+          flat.insert(flat.end(), p.grad().begin(), p.grad().end());
+        return flat;
+      };
       Tensor y = mlp.forward(x);
       mean(square(y)).backward();
-      std::vector<Real> flat = y.vec();
-      for (const auto& p : mlp.parameters())
-        flat.insert(flat.end(), p.grad().begin(), p.grad().end());
-      return flat;
-    };
-    set_fused_linear_enabled(false);
-    const std::vector<Real> reference = run();
-    set_fused_linear_enabled(true);
-    EXPECT_EQ(run(), reference);
+
+      std::vector<Tensor> ref_params;
+      Tensor h = x;
+      for (std::size_t i = 0; i < layers.size(); ++i) {
+        h = layers[i].forward(h);
+        if (i + 1 < layers.size())
+          h = act == Activation::ReLU ? relu(h) : tanh_op(h);
+        for (const auto& p : layers[i].parameters()) ref_params.push_back(p);
+      }
+      if (layer_norm) {
+        h = norm.forward(h);
+        for (const auto& p : norm.parameters()) ref_params.push_back(p);
+      }
+      mean(square(h)).backward();
+
+      EXPECT_EQ(flatten(y, mlp.parameters()), flatten(h, ref_params))
+          << "layer_norm=" << layer_norm << " act=" << static_cast<int>(act);
+    }
   }
 }
 
-TEST(FusedLinear, MlpGradCheckWithFusedPath) {
-  FusedSwitchGuard guard;
-  set_fused_linear_enabled(true);
+TEST(FusedLinear, MlpGradCheck) {
   Rng rng(51);
   Mlp mlp(3, 6, 1, 2, rng, /*output_layer_norm=*/true, Activation::Tanh);
   const Tensor x = random_input(2, 3, 52);
