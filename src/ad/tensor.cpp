@@ -10,6 +10,23 @@ namespace {
 thread_local bool t_grad_enabled = true;
 }  // namespace
 
+TensorImpl::~TensorImpl() {
+  // Parents this node last owns are moved onto a local stack before they
+  // drop, so each dies with no parents of its own. backward_fn goes too:
+  // its closure holds parent pointers as well.
+  std::vector<TensorImplPtr> stack = std::move(parents);
+  backward_fn = nullptr;
+  while (!stack.empty()) {
+    TensorImplPtr node = std::move(stack.back());
+    stack.pop_back();
+    if (node.use_count() != 1) continue;  // still owned elsewhere
+    for (TensorImplPtr& parent : node->parents)
+      stack.push_back(std::move(parent));
+    node->parents.clear();
+    node->backward_fn = nullptr;
+  }
+}
+
 NoGradGuard::NoGradGuard() : previous_(t_grad_enabled) {
   t_grad_enabled = false;
 }

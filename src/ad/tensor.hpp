@@ -51,6 +51,9 @@ struct TensorImpl {
   bool requires_grad = false;
 
   TensorImpl() = default;
+  /// Frees the tape above this node iteratively: a member-wise release of
+  /// `parents` would recurse once per node of a long chain.
+  ~TensorImpl();
   TensorImpl(const TensorImpl&) = delete;
   TensorImpl& operator=(const TensorImpl&) = delete;
 

@@ -1,13 +1,5 @@
 #include "net/client.hpp"
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -20,14 +12,6 @@
 namespace gns::net {
 
 namespace {
-
-timeval to_timeval(double ms) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(ms / 1000.0);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
-  return tv;
-}
 
 /// Splitmix64 over a monotonic-clock sample and a process-wide counter:
 /// ids are unique within a process and overwhelmingly unlikely to collide
@@ -46,19 +30,6 @@ std::uint64_t generate_trace_id() {
   return x != 0 ? x : 1;
 }
 
-bool send_all(int fd, const std::uint8_t* data, std::size_t len) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 Client::Client(ClientConfig config) : config_(std::move(config)) {}
@@ -66,57 +37,16 @@ Client::Client(ClientConfig config) : config_(std::move(config)) {}
 Client::~Client() { close(); }
 
 bool Client::connect() {
-  close();
-  last_connect_errno_ = 0;
-
-  // Resolve fresh on every attempt — never cache a lookup across retries.
-  // A backend restarting on the same port (new socket, maybe a new address
-  // behind a DNS name) must be reachable by the very next connect, not
-  // after a stale half-open connection ages out.
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* results = nullptr;
-  const std::string port = std::to_string(config_.port);
-  if (::getaddrinfo(config_.host.c_str(), port.c_str(), &hints, &results) !=
-      0) {
-    return false;  // unresolvable host: not transient, errno stays 0
-  }
-
-  for (addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
-    fd_ = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd_ < 0) {
-      last_connect_errno_ = errno;
-      continue;
-    }
-    const timeval send_tv = to_timeval(config_.connect_timeout_ms);
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &send_tv, sizeof(send_tv));
-    const timeval recv_tv = to_timeval(config_.recv_timeout_ms);
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &recv_tv, sizeof(recv_tv));
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (::connect(fd_, ai->ai_addr, ai->ai_addrlen) == 0) {
-      ::freeaddrinfo(results);
-      buf_.clear();
-      consumed_ = 0;
-      last_connect_errno_ = 0;
-      return true;
-    }
-    last_connect_errno_ = errno;
-    ::close(fd_);
-    fd_ = -1;
-  }
-  ::freeaddrinfo(results);
-  return false;
+  return conn_.connect(config_.host, config_.port, config_.connect_timeout_ms);
 }
 
-void Client::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  buf_.clear();
-  consumed_ = 0;
+void Client::close() { conn_.close(); }
+
+std::string Client::connect_error() const {
+  const int err = conn_.connect_errno();
+  return "connect to " + config_.host + ":" + std::to_string(config_.port) +
+         " failed" + (err != 0 ? std::string(": ") + std::strerror(err)
+                               : std::string());
 }
 
 ClientResult Client::rollout(const serve::RolloutRequest& request) {
@@ -135,7 +65,7 @@ ClientResult Client::run_rollout(const serve::RolloutRequest& request) {
   int connect_retries = 0;
   Timer rtt;
   for (;;) {
-    result = exchange(request, next_request_id_++);
+    result = exchange(request);
     result.busy_retries = busy_retries;
     result.connect_retries = connect_retries;
     const bool busy = result.transport_ok && result.is_net_error &&
@@ -148,8 +78,8 @@ ClientResult Client::run_rollout(const serve::RolloutRequest& request) {
     const bool transient_connect =
         !result.transport_ok &&
         ((result.connect_failed &&
-          (last_connect_errno_ == ECONNREFUSED ||
-           last_connect_errno_ == ECONNRESET)) ||
+          (conn_.connect_errno() == ECONNREFUSED ||
+           conn_.connect_errno() == ECONNRESET)) ||
          // A reply-less connection death is a stale or restarting backend;
          // the idempotent request is resent on a fresh connection.
          result.lost_before_reply);
@@ -173,23 +103,18 @@ ClientResult Client::run_rollout(const serve::RolloutRequest& request) {
 Client::StatsResult Client::stats(std::uint8_t format) {
   StatsResult result;
   Timer rtt;
-  if (fd_ < 0 && !connect()) {
-    result.transport_error =
-        "connect to " + config_.host + ":" + std::to_string(config_.port) +
-        " failed" +
-        (last_connect_errno_ != 0
-             ? std::string(": ") + std::strerror(last_connect_errno_)
-             : std::string());
+  if (!conn_.connected() && !connect()) {
+    result.transport_error = connect_error();
     result.rtt_ms = rtt.millis();
     return result;
   }
 
-  const std::uint64_t request_id = next_request_id_++;
+  const std::uint64_t request_id = conn_.next_request_id();
   WireStatsRequest stats_request;
   stats_request.format = format;
   const std::vector<std::uint8_t> wire =
       encode_stats_request(request_id, stats_request);
-  if (!send_all(fd_, wire.data(), wire.size())) {
+  if (!conn_.send_frame(wire)) {
     result.transport_error =
         std::string("send failed: ") + std::strerror(errno);
     close();
@@ -200,7 +125,8 @@ Client::StatsResult Client::stats(std::uint8_t format) {
   for (;;) {
     FrameView frame;
     std::string read_error;
-    if (!read_frame(frame, read_error)) {
+    if (conn_.read_frame(frame, read_error, config_.recv_timeout_ms) !=
+        FrameConn::ReadStatus::Ok) {
       result.transport_error = read_error;
       close();
       break;
@@ -242,24 +168,19 @@ Client::StatsResult Client::stats(std::uint8_t format) {
   return result;
 }
 
-ClientResult Client::exchange(const serve::RolloutRequest& request,
-                              std::uint64_t request_id) {
+ClientResult Client::exchange(const serve::RolloutRequest& request) {
   ClientResult result;
   result.trace_id = request.trace_id;
-  if (fd_ < 0 && !connect()) {
+  if (!conn_.connected() && !connect()) {
     result.connect_failed = true;
-    result.transport_error =
-        "connect to " + config_.host + ":" + std::to_string(config_.port) +
-        " failed" +
-        (last_connect_errno_ != 0
-             ? std::string(": ") + std::strerror(last_connect_errno_)
-             : std::string());
+    result.transport_error = connect_error();
     return result;
   }
 
+  const std::uint64_t request_id = conn_.next_request_id();
   const std::vector<std::uint8_t> wire =
       encode_rollout_request(request_id, request);
-  if (!send_all(fd_, wire.data(), wire.size())) {
+  if (!conn_.send_frame(wire)) {
     result.transport_error = std::string("send failed: ") +
                              std::strerror(errno);
     result.lost_before_reply = true;
@@ -276,9 +197,14 @@ ClientResult Client::exchange(const serve::RolloutRequest& request,
   for (;;) {
     FrameView frame;
     std::string read_error;
-    if (!read_frame(frame, read_error)) {
+    const FrameConn::ReadStatus read =
+        conn_.read_frame(frame, read_error, config_.recv_timeout_ms);
+    if (read != FrameConn::ReadStatus::Ok) {
       result.transport_error = read_error;
-      result.lost_before_reply = last_read_io_error_ && !reply_started;
+      // A timeout or a dead socket is the stale-connection shape; a
+      // protocol violation is not, and is never resent.
+      result.lost_before_reply =
+          read != FrameConn::ReadStatus::Protocol && !reply_started;
       close();
       return result;
     }
@@ -360,45 +286,6 @@ ClientResult Client::exchange(const serve::RolloutRequest& request,
         return result;
     }
   }
-}
-
-bool Client::read_frame(FrameView& frame, std::string& error) {
-  last_read_io_error_ = false;
-  // Drop the frame handed out by the previous call now that the caller is
-  // done with its borrowed FrameView.
-  if (consumed_ > 0) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(
-                                                consumed_));
-    consumed_ = 0;
-  }
-  for (;;) {
-    DecodeError decode_error;
-    const DecodeStatus status =
-        try_decode_frame(buf_.data(), buf_.size(), frame, decode_error);
-    if (status == DecodeStatus::Ok) {
-      consumed_ = frame.frame_bytes;
-      break;
-    }
-    if (status == DecodeStatus::Error) {
-      error = "protocol error from server: " + decode_error.message;
-      return false;
-    }
-    std::uint8_t chunk[64 * 1024];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      error = "server closed the connection";
-      last_read_io_error_ = true;
-      return false;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      error = std::string("recv failed: ") + std::strerror(errno);
-      last_read_io_error_ = true;
-      return false;
-    }
-    buf_.insert(buf_.end(), chunk, chunk + n);
-  }
-  return true;
 }
 
 }  // namespace gns::net

@@ -24,14 +24,21 @@
 /// other error (transport mid-stream, protocol, typed job failure) is
 /// returned on the first occurrence.
 ///
-/// Used by tests/test_net_server.cpp and bench/bench_net_throughput.cpp;
-/// also the reference implementation for external clients.
+/// The connection itself is a FrameConn (net/socket.hpp), the socket layer
+/// the router's backend connections share.
+///
+/// Used by tests/test_net_server.cpp, tests/test_router.cpp,
+/// tests/test_cache.cpp, bench/bench_net_throughput.cpp,
+/// bench/bench_router_scale.cpp, examples/stats_client.cpp and the
+/// perfbench workloads; also the reference implementation for external
+/// clients.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "net/protocol.hpp"
+#include "net/socket.hpp"
 #include "serve/job.hpp"
 
 namespace gns::net {
@@ -40,7 +47,9 @@ struct ClientConfig {
   std::string host = "127.0.0.1";
   int port = 0;
   double connect_timeout_ms = 5000.0;  ///< per connect() attempt
-  double recv_timeout_ms = 120'000.0;  ///< silence on the socket -> error
+  /// Deadline for each reply frame; a miss is a connection death. <= 0
+  /// waits without one.
+  double recv_timeout_ms = 120'000.0;
   /// Busy-retry policy: sleep busy_backoff_ms, double it each retry (cap
   /// busy_backoff_max_ms), give up after busy_max_retries retries. The
   /// same policy governs transient connect errors (ECONNREFUSED /
@@ -116,7 +125,7 @@ class Client {
   /// a transport error (rollout() also reconnects lazily).
   [[nodiscard]] bool connect();
   void close();
-  [[nodiscard]] bool connected() const { return fd_ >= 0; }
+  [[nodiscard]] bool connected() const { return conn_.connected(); }
 
   /// Sends the request and blocks until its terminal reply, transparently
   /// retrying Busy rejections with backoff. Never throws. When
@@ -148,26 +157,12 @@ class Client {
   /// rollout() after trace-id assignment: the Busy/connect retry loop.
   ClientResult run_rollout(const serve::RolloutRequest& request);
   /// One send + receive-until-terminal exchange (no Busy retry).
-  ClientResult exchange(const serve::RolloutRequest& request,
-                        std::uint64_t request_id);
-  /// Blocking-reads one whole frame into buf_; empty view on failure.
-  bool read_frame(FrameView& frame, std::string& error);
+  ClientResult exchange(const serve::RolloutRequest& request);
+  /// "connect to host:port failed[: errno text]".
+  [[nodiscard]] std::string connect_error() const;
 
   ClientConfig config_;
-  int fd_ = -1;
-  /// errno captured at the failing connect() syscall (close() in the
-  /// cleanup path may clobber the thread-local errno before callers see
-  /// it); 0 for non-syscall failures like a malformed host address.
-  int last_connect_errno_ = 0;
-  std::uint64_t next_request_id_ = 1;
-  /// Whether the last read_frame() failure was an I/O death (EOF / recv
-  /// error) as opposed to a protocol violation; only the former is the
-  /// retriable stale-connection shape.
-  bool last_read_io_error_ = false;
-  std::vector<std::uint8_t> buf_;  ///< partial-frame carryover between reads
-  /// Bytes of buf_ the previous read_frame() handed out as a FrameView;
-  /// erased on the next call (the view must stay valid until then).
-  std::size_t consumed_ = 0;
+  FrameConn conn_;
 };
 
 }  // namespace gns::net

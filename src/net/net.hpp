@@ -12,7 +12,9 @@
 ///              sockets, bounded in-flight caps (Busy backpressure),
 ///              deadline propagation, graceful drain on stop();
 ///   Client   — blocking request/stream-response with Busy retry/backoff,
-///              automatic trace-id generation, and a stats() scrape.
+///              automatic trace-id generation, and a stats() scrape;
+///   socket   — the one socket layer under all of them (and the router):
+///              listen_tcp, FrameBuffer, and the blocking FrameConn.
 ///
 /// Protocol v2 adds end-to-end observability: requests carry a 64-bit
 /// trace_id that is stamped on every span of their server-side life,
@@ -29,3 +31,4 @@
 #include "net/client.hpp"    // IWYU pragma: export
 #include "net/protocol.hpp"  // IWYU pragma: export
 #include "net/server.hpp"    // IWYU pragma: export
+#include "net/socket.hpp"    // IWYU pragma: export

@@ -1,9 +1,5 @@
 #include "net/server.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -22,15 +18,6 @@
 namespace gns::net {
 
 namespace {
-
-constexpr std::size_t kReadChunkBytes = 64 * 1024;
-/// Compact the read buffer once this many decoded bytes sit at its front.
-constexpr std::size_t kCompactThreshold = 256 * 1024;
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
 
 double ms_since(std::chrono::steady_clock::time_point then,
                 std::chrono::steady_clock::time_point now) {
@@ -89,36 +76,12 @@ Server::~Server() { stop(); }
 bool Server::start() {
   GNS_CHECK_MSG(!running_.load(), "Server::start called twice");
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = listen_tcp(config_.host, config_.port, port_);
   if (listen_fd_ < 0) {
-    GNS_ERROR("net: socket() failed: " << std::strerror(errno));
+    GNS_ERROR("net: listen on " << config_.host << ":" << config_.port
+                                << " failed: " << std::strerror(errno));
     return false;
   }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    GNS_ERROR("net: bad bind address '" << config_.host << "'");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd_, 128) != 0 || !set_nonblocking(listen_fd_)) {
-    GNS_ERROR("net: bind/listen on " << config_.host << ":" << config_.port
-                                     << " failed: " << std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  port_ = ntohs(bound.sin_port);
 
   // No threads of our own: the bridge's poller turns listener/connection
   // readiness into tasks on the global executor.
@@ -154,36 +117,26 @@ int Server::active_connections() const {
 
 bool Server::read_some(Connection& conn) {
   GNS_TRACE_SCOPE("net.conn.read");
-  for (;;) {
-    const std::size_t old_size = conn.rbuf.size();
-    conn.rbuf.resize(old_size + kReadChunkBytes);
-    const ssize_t n =
-        ::recv(conn.fd, conn.rbuf.data() + old_size, kReadChunkBytes, 0);
-    if (n > 0) {
-      conn.rbuf.resize(old_size + static_cast<std::size_t>(n));
-      bytes_rx_.add(static_cast<std::uint64_t>(n));
-      conn.last_activity = Clock::now();
-      if (static_cast<std::size_t>(n) < kReadChunkBytes) return true;
-      continue;  // kernel buffer may hold more
-    }
-    conn.rbuf.resize(old_size);
-    if (n == 0) return false;  // orderly peer close
-    return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+  const ssize_t n = conn.rbuf.read_from(conn.fd);
+  if (n > 0) {
+    bytes_rx_.add(static_cast<std::uint64_t>(n));
+    conn.last_activity = Clock::now();
+    return true;
   }
+  if (n == 0) return false;  // orderly peer close
+  return errno == EAGAIN || errno == EWOULDBLOCK;
 }
 
 void Server::process_rbuf(Connection& conn) {
   GNS_TRACE_SCOPE("net.conn.decode");
   for (;;) {
-    const std::uint8_t* data = conn.rbuf.data() + conn.rbuf_consumed;
-    const std::size_t len = conn.rbuf.size() - conn.rbuf_consumed;
-    if (len == 0) {
+    if (conn.rbuf.unread() == 0) {
       conn.has_partial = false;
       break;
     }
     FrameView frame;
     DecodeError error;
-    const DecodeStatus status = try_decode_frame(data, len, frame, error);
+    const DecodeStatus status = conn.rbuf.next(frame, error);
     if (status == DecodeStatus::NeedMore) {
       if (!conn.has_partial) {
         conn.has_partial = true;
@@ -200,11 +153,11 @@ void Server::process_rbuf(Connection& conn) {
       if (error.fatal) {
         // Framing is lost: discard the buffer and close once the error
         // reply has flushed.
-        conn.rbuf_consumed = conn.rbuf.size();
+        conn.rbuf.skip(conn.rbuf.unread());
         conn.close_after_flush = true;
         break;
       }
-      conn.rbuf_consumed += error.skip_bytes;
+      conn.rbuf.skip(error.skip_bytes);
       continue;
     }
 
@@ -217,7 +170,7 @@ void Server::process_rbuf(Connection& conn) {
       enqueue_error(conn, frame.request_id, NetError::BadVersion,
                     "unsupported protocol version " +
                         std::to_string(frame.version));
-      conn.rbuf_consumed = conn.rbuf.size();
+      conn.rbuf.skip(conn.rbuf.unread());
       conn.close_after_flush = true;
       break;
     }
@@ -237,18 +190,6 @@ void Server::process_rbuf(Connection& conn) {
       enqueue_error(conn, frame.request_id, NetError::Malformed,
                     "unexpected message type from client");
     }
-    conn.rbuf_consumed += frame.frame_bytes;
-  }
-
-  // Compact lazily: memmove only when a big decoded prefix has built up.
-  if (conn.rbuf_consumed == conn.rbuf.size()) {
-    conn.rbuf.clear();
-    conn.rbuf_consumed = 0;
-  } else if (conn.rbuf_consumed > kCompactThreshold) {
-    conn.rbuf.erase(conn.rbuf.begin(),
-                    conn.rbuf.begin() +
-                        static_cast<std::ptrdiff_t>(conn.rbuf_consumed));
-    conn.rbuf_consumed = 0;
   }
 }
 
@@ -528,8 +469,7 @@ void Server::exec_accept(short /*revents*/) {
       ::close(fd);
       continue;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    set_nodelay(fd);
     accepted_.add();
     active_connections_.fetch_add(1, std::memory_order_relaxed);
     active_connections_gauge_.set(

@@ -56,6 +56,7 @@
 #include "exec/executor.hpp"
 #include "exec/io_bridge.hpp"
 #include "net/protocol.hpp"
+#include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "serve/scheduler.hpp"
 
@@ -152,8 +153,7 @@ class Server {
     Connection& operator=(const Connection&) = delete;
 
     int fd = -1;
-    std::vector<std::uint8_t> rbuf;
-    std::size_t rbuf_consumed = 0;  ///< decoded prefix, compacted lazily
+    FrameBuffer rbuf;
     std::deque<WriteItem> wqueue;
     std::size_t woff = 0;  ///< bytes of wqueue.front() already written
     /// Version of the last well-framed frame from this peer; error replies
@@ -180,7 +180,8 @@ class Server {
   /// stop() body: unwatch the listener, drain-wait, close every
   /// connection, stop the bridge, quiesce pump timers.
   void exec_stop();
-  /// Drains socket -> rbuf; false when the peer closed or errored.
+  /// Reads what the socket holds into rbuf; false when the peer closed or
+  /// errored.
   bool read_some(Connection& conn);
   /// Decodes and dispatches every complete frame in rbuf.
   void process_rbuf(Connection& conn);

@@ -1,17 +1,7 @@
 #include "router/backend.hpp"
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 
 #include "util/logging.hpp"
 
@@ -23,11 +13,6 @@ using Clock = std::chrono::steady_clock;
 
 /// Idle connections kept per backend; more just close on checkin.
 constexpr std::size_t kMaxIdleConns = 8;
-
-double ms_until(Clock::time_point deadline) {
-  return std::chrono::duration<double, std::milli>(deadline - Clock::now())
-      .count();
-}
 
 }  // namespace
 
@@ -49,124 +34,6 @@ bool parse_backend_address(const std::string& spec, BackendAddress& out) {
   return true;
 }
 
-// ---- BackendConn -----------------------------------------------------------
-
-BackendConn::BackendConn(BackendAddress address)
-    : address_(std::move(address)) {}
-
-BackendConn::~BackendConn() { close(); }
-
-bool BackendConn::connect(double timeout_ms) {
-  close();
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* results = nullptr;
-  const std::string port = std::to_string(address_.port);
-  if (::getaddrinfo(address_.host.c_str(), port.c_str(), &hints, &results) !=
-      0)
-    return false;
-  for (addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
-    fd_ = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd_ < 0) continue;
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(timeout_ms / 1000.0);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (timeout_ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (::connect(fd_, ai->ai_addr, ai->ai_addrlen) == 0) {
-      ::freeaddrinfo(results);
-      buf_.clear();
-      consumed_ = 0;
-      return true;
-    }
-    ::close(fd_);
-    fd_ = -1;
-  }
-  ::freeaddrinfo(results);
-  return false;
-}
-
-void BackendConn::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  buf_.clear();
-  consumed_ = 0;
-}
-
-bool BackendConn::send_frame(const std::vector<std::uint8_t>& frame) {
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n =
-        ::send(fd_, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-BackendConn::ReadStatus BackendConn::read_frame(net::FrameView& frame,
-                                                std::string& error,
-                                                double timeout_ms) {
-  if (consumed_ > 0) {
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
-  }
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             std::max(0.0, timeout_ms)));
-  for (;;) {
-    net::DecodeError decode_error;
-    const net::DecodeStatus status =
-        net::try_decode_frame(buf_.data(), buf_.size(), frame, decode_error);
-    if (status == net::DecodeStatus::Ok) {
-      consumed_ = frame.frame_bytes;
-      return ReadStatus::Ok;
-    }
-    if (status == net::DecodeStatus::Error) {
-      error = "protocol error from backend: " + decode_error.message;
-      return ReadStatus::Error;
-    }
-
-    const double remaining = ms_until(deadline);
-    if (remaining <= 0.0) {
-      error = "backend reply timed out";
-      return ReadStatus::Timeout;
-    }
-    pollfd pfd{fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1,
-                          static_cast<int>(std::min(remaining, 1000.0)) + 1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      error = std::string("poll failed: ") + std::strerror(errno);
-      return ReadStatus::Error;
-    }
-    if (rc == 0) continue;  // tick; deadline re-checked above
-    std::uint8_t chunk[64 * 1024];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      error = "backend closed the connection";
-      return ReadStatus::Closed;
-    }
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
-        continue;
-      error = std::string("recv failed: ") + std::strerror(errno);
-      return ReadStatus::Error;
-    }
-    buf_.insert(buf_.end(), chunk, chunk + n);
-  }
-}
-
 // ---- Backend ---------------------------------------------------------------
 
 Backend::Backend(BackendAddress address, BackendTuning tuning)
@@ -174,17 +41,18 @@ Backend::Backend(BackendAddress address, BackendTuning tuning)
       tuning_(tuning),
       backoff_ms_(tuning.readmit_backoff_ms) {}
 
-std::unique_ptr<BackendConn> Backend::checkout(std::string& error) {
+std::unique_ptr<net::FrameConn> Backend::checkout(std::string& error) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!idle_.empty()) {
-      std::unique_ptr<BackendConn> conn = std::move(idle_.back());
+      std::unique_ptr<net::FrameConn> conn = std::move(idle_.back());
       idle_.pop_back();
       return conn;
     }
   }
-  auto conn = std::make_unique<BackendConn>(address_);
-  if (!conn->connect(tuning_.connect_timeout_ms)) {
+  auto conn = std::make_unique<net::FrameConn>();
+  if (!conn->connect(address_.host, address_.port,
+                     tuning_.connect_timeout_ms)) {
     error = "connect to " + label() + " failed";
     return nullptr;
   }
@@ -192,7 +60,7 @@ std::unique_ptr<BackendConn> Backend::checkout(std::string& error) {
   return conn;
 }
 
-void Backend::checkin(std::unique_ptr<BackendConn> conn) {
+void Backend::checkin(std::unique_ptr<net::FrameConn> conn) {
   if (!conn || !conn->connected()) return;
   std::lock_guard<std::mutex> lock(mutex_);
   // An eviction between checkout and checkin closed the pool; a stale
@@ -201,7 +69,7 @@ void Backend::checkin(std::unique_ptr<BackendConn> conn) {
   if (idle_.size() < kMaxIdleConns) idle_.push_back(std::move(conn));
 }
 
-bool Backend::handshake(std::unique_ptr<BackendConn>& conn,
+bool Backend::handshake(std::unique_ptr<net::FrameConn>& conn,
                         std::string& error) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -219,9 +87,8 @@ bool Backend::handshake(std::unique_ptr<BackendConn>& conn,
     return false;
   }
   net::FrameView frame;
-  const BackendConn::ReadStatus status =
-      conn->read_frame(frame, error, tuning_.hello_timeout_ms);
-  if (status != BackendConn::ReadStatus::Ok) {
+  if (conn->read_frame(frame, error, tuning_.hello_timeout_ms) !=
+      net::FrameConn::ReadStatus::Ok) {
     if (error.empty()) error = "hello to " + label() + " got no reply";
     return false;
   }
@@ -268,7 +135,8 @@ bool Backend::handshake(std::unique_ptr<BackendConn>& conn,
       GNS_INFO("router: backend " << label() << " is pre-v3 (speaks v"
                                   << static_cast<int>(frame.version)
                                   << "); using conservative defaults");
-      if (!conn->connect(tuning_.connect_timeout_ms)) {
+      if (!conn->connect(address_.host, address_.port,
+                         tuning_.connect_timeout_ms)) {
         error = "reconnect to legacy backend " + label() + " failed";
         return false;
       }
@@ -316,7 +184,7 @@ void Backend::mark_healthy() {
 }
 
 void Backend::evict() {
-  std::vector<std::unique_ptr<BackendConn>> doomed;
+  std::vector<std::unique_ptr<net::FrameConn>> doomed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     health_ = BackendHealth::Evicted;
@@ -330,7 +198,7 @@ void Backend::evict() {
     caps_known_ = false;
     doomed.swap(idle_);
   }
-  // Closed outside the lock; ~BackendConn does the work.
+  // Closed outside the lock; ~FrameConn does the work.
 }
 
 bool Backend::readmit_due() const {

@@ -11,16 +11,16 @@
 ///    that version byte, reconnects, and falls back to conservative
 ///    defaults (legacy_capacity slots, wildcard model match) — so an old
 ///    binary is still usable, just never preferred;
-///  - a pool of idle BackendConns (blocking, exclusively checked out) so
-///    concurrent proxied requests each get their own connection without a
-///    per-request TCP + HELLO round trip;
+///  - a pool of idle connections (blocking net::FrameConns, exclusively
+///    checked out) so concurrent proxied requests each get their own
+///    connection without a per-request TCP + HELLO round trip;
 ///  - its health state: Healthy until an I/O failure or probe timeout
 ///    evicts it, then Evicted with an exponentially growing re-admission
 ///    backoff until a probe handshake succeeds again.
 ///
 /// Thread safety: every public method is safe to call from any router
-/// thread. A checked-out BackendConn is exclusively owned by its caller
-/// and is NOT thread-safe itself.
+/// thread. A checked-out connection is exclusively owned by its caller and
+/// is NOT thread-safe itself.
 
 #include <atomic>
 #include <chrono>
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "net/protocol.hpp"
+#include "net/socket.hpp"
 
 namespace gns::router {
 
@@ -71,40 +72,6 @@ struct BackendCapabilities {
   int workers = 0;                  ///< peer's scheduler workers (hint)
 };
 
-/// One blocking TCP connection to a backend, exclusively owned by the
-/// checker-outer. Framing only — capability/health logic lives in Backend.
-class BackendConn {
- public:
-  enum class ReadStatus { Ok, Closed, Timeout, Error };
-
-  explicit BackendConn(BackendAddress address);
-  ~BackendConn();
-  BackendConn(const BackendConn&) = delete;
-  BackendConn& operator=(const BackendConn&) = delete;
-
-  /// Fresh getaddrinfo + connect (never a cached resolution).
-  [[nodiscard]] bool connect(double timeout_ms);
-  [[nodiscard]] bool connected() const { return fd_ >= 0; }
-  void close();
-
-  [[nodiscard]] bool send_frame(const std::vector<std::uint8_t>& frame);
-  /// Blocks until one whole frame is buffered (deadline timeout_ms). The
-  /// FrameView borrows this connection's buffer: valid until the next
-  /// read_frame/close.
-  [[nodiscard]] ReadStatus read_frame(net::FrameView& frame,
-                                      std::string& error, double timeout_ms);
-
-  /// Request ids are per-connection (the wire scopes them that way).
-  [[nodiscard]] std::uint64_t next_request_id() { return next_request_id_++; }
-
- private:
-  BackendAddress address_;
-  int fd_ = -1;
-  std::uint64_t next_request_id_ = 1;
-  std::vector<std::uint8_t> buf_;  ///< partial-frame carryover
-  std::size_t consumed_ = 0;       ///< frame handed out by the last read
-};
-
 enum class BackendHealth : std::uint8_t {
   Unknown,  ///< never handshaked yet; optimistically placeable
   Healthy,
@@ -133,10 +100,10 @@ class Backend {
   /// connect (+ HELLO handshake when capabilities are not yet known).
   /// nullptr with `error` set on failure — the caller decides whether that
   /// evicts. Never blocks longer than connect+hello timeouts.
-  [[nodiscard]] std::unique_ptr<BackendConn> checkout(std::string& error);
+  [[nodiscard]] std::unique_ptr<net::FrameConn> checkout(std::string& error);
   /// Returns a connection that is still in a clean frame boundary (a
   /// half-read stream must be closed instead, not checked in).
-  void checkin(std::unique_ptr<BackendConn> conn);
+  void checkin(std::unique_ptr<net::FrameConn> conn);
 
   [[nodiscard]] BackendCapabilities capabilities() const;
   /// Least-in-flight placement asks this: does the backend serve `model`?
@@ -169,7 +136,7 @@ class Backend {
  private:
   /// HELLO on a fresh connection; fills caps under mutex_. On a legacy
   /// BadVersion answer, reconnects (the peer closed) without a hello.
-  [[nodiscard]] bool handshake(std::unique_ptr<BackendConn>& conn,
+  [[nodiscard]] bool handshake(std::unique_ptr<net::FrameConn>& conn,
                                std::string& error);
 
   const BackendAddress address_;
@@ -181,7 +148,7 @@ class Backend {
   BackendHealth health_ = BackendHealth::Unknown;
   double backoff_ms_;
   std::chrono::steady_clock::time_point evicted_until_{};
-  std::vector<std::unique_ptr<BackendConn>> idle_;
+  std::vector<std::unique_ptr<net::FrameConn>> idle_;
 
   std::atomic<int> inflight_{0};
 };

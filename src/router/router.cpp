@@ -1,12 +1,7 @@
 #include "router/router.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,6 +9,7 @@
 #include <cstring>
 #include <set>
 
+#include "net/socket.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -23,8 +19,6 @@ namespace gns::router {
 
 namespace {
 
-constexpr std::size_t kReadChunkBytes = 64 * 1024;
-constexpr std::size_t kCompactThreshold = 256 * 1024;
 /// How long an idle session lingers once a drain begins. A client racing
 /// the drain gets a typed ShuttingDown (same as against a draining
 /// server) instead of a silent close; after the grace the session exits
@@ -34,27 +28,6 @@ constexpr double kDrainLingerMs = 250.0;
 double ms_since(std::chrono::steady_clock::time_point then,
                 std::chrono::steady_clock::time_point now) {
   return std::chrono::duration<double, std::milli>(now - then).count();
-}
-
-bool send_all(int fd, const std::uint8_t* data, std::size_t len) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-timeval to_timeval(double ms) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(ms / 1000.0);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
-  return tv;
 }
 
 }  // namespace
@@ -94,40 +67,12 @@ Router::~Router() { stop(); }
 bool Router::start() {
   GNS_CHECK_MSG(!running_.load(), "Router::start called twice");
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = net::listen_tcp(config_.host, config_.port, port_);
   if (listen_fd_ < 0) {
-    GNS_ERROR("router: socket() failed: " << std::strerror(errno));
+    GNS_ERROR("router: listen on " << config_.host << ":" << config_.port
+                                   << " failed: " << std::strerror(errno));
     return false;
   }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    GNS_ERROR("router: bad bind address '" << config_.host << "'");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd_, 128) != 0) {
-    GNS_ERROR("router: bind/listen on " << config_.host << ":" << config_.port
-                                        << " failed: "
-                                        << std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  port_ = ntohs(bound.sin_port);
-  // Non-blocking accepts: the acceptor drains the backlog after each poll
-  // and must get EAGAIN (not block) when it is empty.
-  ::fcntl(listen_fd_, F_SETFL,
-          ::fcntl(listen_fd_, F_GETFL, 0) | O_NONBLOCK);
 
   started_ = Clock::now();
   draining_.store(false, std::memory_order_release);
@@ -165,23 +110,17 @@ void Router::stop() {
       if (active_clients_.load(std::memory_order_acquire) > 0) {
         GNS_WARN("router: drain timeout, severing "
                  << active_clients_.load() << " client connections");
-        for (const std::shared_ptr<Session>& session : sessions_) {
-          const int fd = session->fd.load(std::memory_order_acquire);
+        for (const Session& session : sessions_) {
+          const int fd = session.fd.load(std::memory_order_acquire);
           if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
         }
       }
     }
     if (prober_.joinable()) prober_.join();
-    std::vector<std::thread> threads;
     {
+      // The acceptor is joined, so nothing adds sessions any more.
       std::lock_guard<std::mutex> lock(sessions_mutex_);
-      threads.swap(session_threads_);
-    }
-    for (std::thread& t : threads) {
-      if (t.joinable()) t.join();
-    }
-    {
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
+      for (Session& session : sessions_) session.thread.join();
       sessions_.clear();
     }
     running_.store(false, std::memory_order_release);
@@ -218,69 +157,63 @@ void Router::accept_loop() {
         ::close(fd);
         continue;
       }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      net::set_nodelay(fd);
       // Sends to the client are blocking; bound them so a dead peer cannot
       // wedge a session thread forever.
-      const timeval tv = to_timeval(config_.tuning.io_timeout_ms);
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-      auto session = std::make_shared<Session>();
-      session->fd.store(fd, std::memory_order_release);
+      net::set_send_timeout(fd, config_.tuning.io_timeout_ms);
       active_clients_.fetch_add(1, std::memory_order_relaxed);
       active_clients_gauge_.set(
           active_clients_.load(std::memory_order_relaxed));
       std::lock_guard<std::mutex> lock(sessions_mutex_);
-      sessions_.push_back(session);
-      session_threads_.emplace_back(
-          [this, session] { serve_client(session); });
+      // Join the sessions that have ended: an unjoined thread keeps its
+      // stack mapped, so without this every closed connection leaks one.
+      for (auto it = sessions_.begin(); it != sessions_.end();) {
+        if (it->finished.load(std::memory_order_acquire)) {
+          it->thread.join();
+          it = sessions_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      Session& session = sessions_.emplace_back();
+      session.fd.store(fd, std::memory_order_release);
+      session.thread = std::thread([this, &session] { serve_client(session); });
     }
   }
 }
 
-void Router::serve_client(std::shared_ptr<Session> session) {
-  std::vector<std::uint8_t> rbuf;
-  std::size_t consumed = 0;
+void Router::serve_client(Session& session) {
+  net::FrameBuffer rbuf;
   Clock::time_point last_activity = Clock::now();
   Clock::time_point drain_seen{};
   bool drain_observed = false;
   bool closing = false;
 
   while (!closing) {
-    const int fd = session->fd.load(std::memory_order_acquire);
+    const int fd = session.fd.load(std::memory_order_acquire);
     if (fd < 0) break;
 
     // Decode and dispatch everything buffered.
     for (;;) {
       net::FrameView frame;
       net::DecodeError decode_error;
-      const net::DecodeStatus status = net::try_decode_frame(
-          rbuf.data() + consumed, rbuf.size() - consumed, frame,
-          decode_error);
+      const net::DecodeStatus status = rbuf.next(frame, decode_error);
       if (status == net::DecodeStatus::NeedMore) break;
       if (status == net::DecodeStatus::Error) {
-        send_error(*session, decode_error.request_id, net::kProtocolVersion,
+        send_error(session, decode_error.request_id, net::kProtocolVersion,
                    decode_error.code, decode_error.message);
         if (decode_error.fatal) {
           closing = true;
           break;
         }
-        consumed += decode_error.skip_bytes;
+        rbuf.skip(decode_error.skip_bytes);
         continue;
       }
-      if (!dispatch_frame(*session, frame)) {
+      if (!dispatch_frame(session, frame)) {
         closing = true;
         break;
       }
-      consumed += frame.frame_bytes;
       last_activity = Clock::now();
-    }
-    if (consumed == rbuf.size()) {
-      rbuf.clear();
-      consumed = 0;
-    } else if (consumed > kCompactThreshold) {
-      rbuf.erase(rbuf.begin(), rbuf.begin() +
-                                   static_cast<std::ptrdiff_t>(consumed));
-      consumed = 0;
     }
     if (closing) break;
     if (draining_.load(std::memory_order_acquire)) {
@@ -289,7 +222,7 @@ void Router::serve_client(std::shared_ptr<Session> session) {
         drain_seen = Clock::now();
       }
       // Past the linger an idle draining session owes the client nothing.
-      if (rbuf.size() == consumed &&
+      if (rbuf.unread() == 0 &&
           ms_since(drain_seen, Clock::now()) > kDrainLingerMs)
         break;
     }
@@ -297,32 +230,25 @@ void Router::serve_client(std::shared_ptr<Session> session) {
     pollfd pfd{fd, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, /*timeout_ms=*/200);
     if (rc < 0 && errno != EINTR) break;
-    if (rc > 0 && (pfd.revents & POLLIN)) {
-      std::uint8_t chunk[kReadChunkBytes];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (rc > 0) {
+      // Also reached on POLLERR/POLLHUP, where recv reports the failure.
+      const ssize_t n = rbuf.read_from(fd);
       if (n == 0) break;
-      if (n < 0 &&
-          !(errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK))
-        break;
-      if (n > 0) {
-        rbuf.insert(rbuf.end(), chunk, chunk + n);
-        last_activity = Clock::now();
-      }
-    } else if (rc > 0 &&
-               (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
-      break;
+      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) break;
+      if (n > 0) last_activity = Clock::now();
     }
-    if (config_.client_idle_timeout_ms > 0 && rbuf.size() == consumed &&
+    if (config_.client_idle_timeout_ms > 0 && rbuf.unread() == 0 &&
         ms_since(last_activity, Clock::now()) >
             config_.client_idle_timeout_ms)
       break;
   }
 
-  const int fd = session->fd.exchange(-1, std::memory_order_acq_rel);
+  const int fd = session.fd.exchange(-1, std::memory_order_acq_rel);
   if (fd >= 0) ::close(fd);
   active_clients_.fetch_sub(1, std::memory_order_acq_rel);
   active_clients_gauge_.set(
       std::max(0, active_clients_.load(std::memory_order_relaxed)));
+  session.finished.store(true, std::memory_order_release);
 }
 
 bool Router::dispatch_frame(Session& session, const net::FrameView& frame) {
@@ -449,7 +375,7 @@ Router::ProxyOutcome Router::proxy_once(Session& session,
                                         const serve::RolloutRequest& request,
                                         Backend& backend) {
   std::string error;
-  std::unique_ptr<BackendConn> conn = backend.checkout(error);
+  std::unique_ptr<net::FrameConn> conn = backend.checkout(error);
   if (conn == nullptr) {
     evict_backend(backend, error);
     return ProxyOutcome::RetryDead;
@@ -472,9 +398,9 @@ Router::ProxyOutcome Router::proxy_once(Session& session,
   for (;;) {
     net::FrameView frame;
     std::string read_error;
-    const BackendConn::ReadStatus status =
+    const net::FrameConn::ReadStatus status =
         conn->read_frame(frame, read_error, config_.tuning.io_timeout_ms);
-    if (status != BackendConn::ReadStatus::Ok) {
+    if (status != net::FrameConn::ReadStatus::Ok) {
       evict_backend(backend, read_error);
       return streamed ? ProxyOutcome::FatalStreamLost
                       : ProxyOutcome::RetryDead;
@@ -642,7 +568,7 @@ void Router::probe_backend(Backend& backend) {
     if (!backend.readmit_due()) return;
     // Re-admission handshakes from scratch: the peer may have restarted as
     // a different binary with different models.
-    std::unique_ptr<BackendConn> conn = backend.checkout(error);
+    std::unique_ptr<net::FrameConn> conn = backend.checkout(error);
     if (conn == nullptr) {
       backend.evict();  // extends the backoff; still one eviction event
       return;
@@ -654,7 +580,7 @@ void Router::probe_backend(Backend& backend) {
     return;
   }
 
-  std::unique_ptr<BackendConn> conn = backend.checkout(error);
+  std::unique_ptr<net::FrameConn> conn = backend.checkout(error);
   if (conn == nullptr) {
     evict_backend(backend, "probe: " + error);
     return;
@@ -674,11 +600,11 @@ void Router::probe_backend(Backend& backend) {
       return;
     }
     net::FrameView frame;
-    const BackendConn::ReadStatus status =
+    const net::FrameConn::ReadStatus status =
         conn->read_frame(frame, error, config_.probe_timeout_ms);
     net::WireStatsReply reply;
     std::string parse_error;
-    if (status != BackendConn::ReadStatus::Ok ||
+    if (status != net::FrameConn::ReadStatus::Ok ||
         frame.type != net::MessageType::StatsReply ||
         frame.request_id != request_id ||
         !net::decode_stats_reply(frame, reply, parse_error)) {
@@ -767,7 +693,7 @@ bool Router::send_to_client(Session& session,
                             const std::vector<std::uint8_t>& frame) {
   const int fd = session.fd.load(std::memory_order_acquire);
   if (fd < 0) return false;
-  return send_all(fd, frame.data(), frame.size());
+  return net::send_all(fd, frame.data(), frame.size());
 }
 
 void Router::send_error(Session& session, std::uint64_t request_id,

@@ -49,8 +49,13 @@
 ///
 /// Threading: one acceptor thread, one probe thread, one thread per client
 /// connection (blocking proxy loop — a router fronts few clients each
-/// issuing streams, not thousands of idle sockets). Backend connections
+/// issuing streams, not thousands of idle sockets). The acceptor joins
+/// the threads of ended sessions each time it accepts. Backend connections
 /// are pooled per backend and exclusively checked out per request.
+///
+/// Sockets: the listener, the client sessions' receive buffers and the
+/// backend connections all come from net/socket.hpp, the layer net::Client
+/// and net::Server use too.
 
 #include <atomic>
 #include <chrono>
@@ -123,10 +128,13 @@ class Router {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One client connection, owned by its thread; registered so stop() can
-  /// shutdown() stragglers past the drain deadline.
+  /// One client connection and the thread serving it. stop() shutdown()s
+  /// stragglers past the drain deadline; accept_loop joins and drops the
+  /// ones whose thread has finished.
   struct Session {
     std::atomic<int> fd{-1};
+    std::atomic<bool> finished{false};
+    std::thread thread;
   };
 
   enum class ProxyOutcome {
@@ -151,7 +159,7 @@ class Router {
   void accept_loop();
   void probe_loop();
   void probe_backend(Backend& backend);
-  void serve_client(std::shared_ptr<Session> session);
+  void serve_client(Session& session);
   /// Dispatches one decoded client frame. False when the session must end.
   bool dispatch_frame(Session& session, const net::FrameView& frame);
   bool proxy_rollout(Session& session, const net::FrameView& frame);
@@ -189,8 +197,7 @@ class Router {
   std::thread acceptor_;
   std::thread prober_;
   std::mutex sessions_mutex_;
-  std::vector<std::thread> session_threads_;
-  std::list<std::shared_ptr<Session>> sessions_;
+  std::list<Session> sessions_;  ///< list: a Session never moves
 
   // router.* instruments (cached handles; registry owns them).
   obs::Counter& requests_;

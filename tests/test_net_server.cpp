@@ -13,6 +13,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -186,6 +187,19 @@ bool raw_read_frame(int fd, std::vector<std::uint8_t>& buf, FrameView& frame) {
     if (n <= 0) return false;
     buf.insert(buf.end(), chunk, chunk + n);
   }
+}
+
+/// Waits up to 5 s for the server to close `fd`; returns the wait in ms, or
+/// a negative value when the connection stayed open (or got data).
+double ms_until_peer_closes(int fd) {
+  const auto start = std::chrono::steady_clock::now();
+  pollfd pfd{fd, POLLIN, 0};
+  if (::poll(&pfd, 1, 5000) != 1) return -1.0;
+  std::uint8_t byte = 0;
+  if (::recv(fd, &byte, 1, 0) != 0) return -1.0;
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 // ---- Tests -----------------------------------------------------------------
@@ -824,6 +838,88 @@ TEST(NetServer, StaleConnectionAfterBackendRestartReconnects) {
 
   proxy->stop();
   h.server->stop();
+}
+
+// ---- Timeouts --------------------------------------------------------------
+
+TEST(NetServer, StalledPartialFrameIsClosedByReadTimeout) {
+  ServerConfig cfg;
+  cfg.metrics_prefix = "net_t13";
+  cfg.read_timeout_ms = 100.0;
+  Harness h(cfg);
+  ASSERT_TRUE(h.start());
+
+  // Slowloris: half a frame, then silence. The partial frame stops growing
+  // and the server drops the connection instead of holding it open.
+  const int fd = raw_connect(h.server->port());
+  const std::vector<std::uint8_t> wire =
+      encode_rollout_request(1, small_request(*h.sim, 2));
+  raw_send(fd, std::vector<std::uint8_t>(wire.begin(),
+                                         wire.begin() + wire.size() / 2));
+  const double waited_ms = ms_until_peer_closes(fd);
+  EXPECT_GE(waited_ms, 90.0) << "closed early, or never";
+  EXPECT_LT(waited_ms, 5000.0);
+  ::close(fd);
+  EXPECT_GE(obs::MetricsRegistry::global().counter("net_t13.timeouts").value(),
+            1u);
+
+  h.server->stop();
+}
+
+TEST(NetServer, IdleConnectionIsClosedByIdleTimeout) {
+  ServerConfig cfg;
+  cfg.metrics_prefix = "net_t14";
+  cfg.idle_timeout_ms = 100.0;
+  Harness h(cfg);
+  ASSERT_TRUE(h.start());
+
+  // One answered scrape, then nothing: with no request in flight and no
+  // reply queued the connection counts as idle and is closed.
+  const int fd = raw_connect(h.server->port());
+  raw_send(fd, encode_stats_request(1, WireStatsRequest{}));
+  std::vector<std::uint8_t> buf;
+  FrameView frame;
+  ASSERT_TRUE(raw_read_frame(fd, buf, frame));
+  EXPECT_EQ(frame.type, MessageType::StatsReply);
+  const double waited_ms = ms_until_peer_closes(fd);
+  EXPECT_GE(waited_ms, 50.0) << "closed early, or never";
+  EXPECT_LT(waited_ms, 5000.0);
+  ::close(fd);
+  EXPECT_GE(obs::MetricsRegistry::global().counter("net_t14.timeouts").value(),
+            1u);
+
+  h.server->stop();
+}
+
+TEST(NetServer, ClientRecvTimeoutBoundsASilentPeer) {
+  // A listener that never accepts: the kernel completes the handshake and
+  // buffers the request, and no reply ever comes.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(
+      ::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  ClientConfig cfg;
+  cfg.port = ntohs(addr.sin_port);
+  cfg.recv_timeout_ms = 200.0;
+  cfg.busy_max_retries = 0;
+  Client client(cfg);
+  const ClientResult r = client.rollout(small_request(make_small_sim(), 2));
+  EXPECT_FALSE(r.transport_ok);
+  // The silence is a reply-less connection death (retriable when retries
+  // remain), surfaced once the single attempt has timed out.
+  EXPECT_TRUE(r.lost_before_reply);
+  EXPECT_EQ(r.connect_retries, 0);
+  EXPECT_GE(r.rtt_ms, 150.0);
+  EXPECT_LT(r.rtt_ms, 5000.0);
+  ::close(listener);
 }
 
 }  // namespace

@@ -10,11 +10,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -223,6 +225,22 @@ bool raw_hello(int port, net::WireHelloReply& reply) {
   std::string parse_error;
   return frame.type == net::MessageType::HelloReply &&
          net::decode_hello_reply(frame, reply, parse_error);
+}
+
+/// This process's mapped virtual memory (VmSize), in MB.
+double vm_size_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      double kb = 0.0;
+      status >> kb;
+      return kb / 1024.0;
+    }
+    status.ignore(1 << 16, '\n');
+  }
+  ADD_FAILURE() << "no VmSize in /proc/self/status";
+  return 0.0;
 }
 
 // ---- Tests -----------------------------------------------------------------
@@ -574,6 +592,56 @@ TEST(RouterFleet, LegacyV2BackendUsableWithConservativeDefaults) {
 
   router.stop();
   a.server->stop();
+}
+
+TEST(RouterFleet, ClosedClientSessionsDoNotLeakThreads) {
+  // No backend is needed: HELLO is answered by the router itself, and the
+  // probe loop never runs (router_cfg parks it).
+  Router router(router_cfg("rt9", {1}));
+  ASSERT_TRUE(router.start());
+  const double before_mb = vm_size_mb();
+
+  // Each cycle is a whole session: accepted, served one HELLO, closed by
+  // the client. An unjoined session thread keeps its stack (8 MB by
+  // default) mapped, so 300 leaked threads would map gigabytes.
+  constexpr int kCycles = 300;
+  for (int i = 0; i < kCycles; ++i) {
+    net::WireHelloReply hello;
+    ASSERT_TRUE(raw_hello(router.port(), hello)) << "cycle " << i;
+  }
+  ASSERT_TRUE(eventually([] {
+    return obs::MetricsRegistry::global().gauge("rt9.active_connections")
+               .value() == 0.0;
+  }));
+  const double growth_mb = vm_size_mb() - before_mb;
+  EXPECT_LT(growth_mb, 256.0) << "VmSize grew " << growth_mb << " MB over "
+                              << kCycles << " closed sessions";
+
+  router.stop();
+}
+
+TEST(RouterFleet, IdleClientConnectionIsClosed) {
+  RouterConfig cfg = router_cfg("rt10", {1});
+  cfg.client_idle_timeout_ms = 100.0;
+  Router router(cfg);
+  ASSERT_TRUE(router.start());
+
+  // A client that connects and never sends is closed once idle: the read
+  // sees EOF well inside the bound, not a hang.
+  const int fd = raw_connect(router.port());
+  const auto start = std::chrono::steady_clock::now();
+  pollfd pfd{fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "idle connection was never closed";
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_GE(waited_ms, 90.0);
+  EXPECT_LT(waited_ms, 5000.0);
+  ::close(fd);
+
+  router.stop();
 }
 
 }  // namespace
