@@ -14,7 +14,7 @@ BatchedSimulator::BatchedSimulator(
 
 std::vector<ad::Tensor> BatchedSimulator::step(
     const std::vector<Window>& windows,
-    const std::vector<SceneContext>& contexts, graph::GraphBatch* out_batch,
+    const std::vector<SceneContext>& contexts,
     const std::vector<graph::CellList*>& neighbor_caches) const {
   GNS_TRACE_SCOPE("core.batched.step");
   static auto& step_ms =
@@ -69,7 +69,7 @@ std::vector<ad::Tensor> BatchedSimulator::step(
       for (const Window& w : windows) newest.push_back(w.back());
       merged_newest = ad::concat_rows(newest);
     }
-    edge_feats = build_batched_edge_features(fc, merged_newest, batch, index);
+    edge_feats = build_edge_features(fc, merged_newest, batch.merged, index);
   }
 
   GnsOutput out =
@@ -87,7 +87,6 @@ std::vector<ad::Tensor> BatchedSimulator::step(
     const ad::Tensor& xprev = windows[g][windows[g].size() - 2];
     next[g] = ad::add(xt, ad::add(ad::sub(xt, xprev), a_g));
   }
-  if (out_batch != nullptr) *out_batch = std::move(batch);
   return next;
 }
 
@@ -158,7 +157,7 @@ bool BatchedRollout::step_once(const BatchedSimulator::StepGate& gate) {
     step_caches_.push_back(caches_[g].get());
   }
   std::vector<ad::Tensor> next =
-      batched_.step(step_windows_, step_contexts_, nullptr, step_caches_);
+      batched_.step(step_windows_, step_contexts_, step_caches_);
 
   std::vector<int> still_active;
   still_active.reserve(active_.size());

@@ -34,14 +34,12 @@ class BatchedSimulator {
   /// One integrator step for every member through a single block-diagonal
   /// forward. windows[g] holds window_size() frames (oldest first) of
   /// member g; members may differ in particle count. Returns x_{t+1} per
-  /// member. `out_batch` (optional) receives the merged graph built for
-  /// the step. `neighbor_caches` (optional; one entry per member, entries
+  /// member. `neighbor_caches` (optional; one entry per member, entries
   /// may be null) supplies per-member Verlet skin lists reused across
   /// steps — edges stay identical to fresh builds.
   [[nodiscard]] std::vector<ad::Tensor> step(
       const std::vector<Window>& windows,
       const std::vector<SceneContext>& contexts,
-      graph::GraphBatch* out_batch = nullptr,
       const std::vector<graph::CellList*>& neighbor_caches = {}) const;
 
   /// Gate polled before every batched step for each still-active member.

@@ -23,7 +23,6 @@
 #include "ad/ops.hpp"
 #include "core/graph_index.hpp"
 #include "core/normalization.hpp"
-#include "graph/batch.hpp"
 #include "graph/neighbor_search.hpp"
 
 namespace gns::core {
@@ -85,7 +84,8 @@ struct SceneContext {
                                               graph::CellList& cells);
 
 /// Node feature matrix [N, node_feature_count()] from a window of
-/// `window_size()` position tensors (oldest first) plus the scene context.
+/// `window_size()` position tensors (oldest first) plus the scene context:
+/// the one-member call of build_batched_node_features.
 [[nodiscard]] ad::Tensor build_node_features(
     const FeatureConfig& config, const Normalizer& norm,
     const std::vector<ad::Tensor>& position_window,
@@ -103,15 +103,17 @@ struct SceneContext {
                                              const graph::Graph& graph,
                                              const GraphIndex& index);
 
-// ---- Batched (block-diagonal) variants -------------------------------------
+// ---- Batched (block-diagonal) variant --------------------------------------
 //
-// The batched builders take B per-member windows/contexts and emit the
-// feature tensors of the merged graph (graph/batch.hpp): member g's rows
+// The batched builder takes B per-member windows/contexts and emits the
+// node features of the merged graph (graph/batch.hpp): member g's rows
 // occupy [batch.node_offset[g], batch.node_offset[g+1]). All motion and
 // boundary features are elementwise/row-local, so every row is bit-identical
-// to the unbatched builders; the only genuinely segmented features are the
+// to a one-member call; the only genuinely segmented features are the
 // per-member material column and static node attributes, which broadcast
-// within their member's node range.
+// within their member's node range. Edge features need no batched form:
+// the merged graph's indices already point into the concatenated position
+// rows, so build_edge_features on the merged graph is exact.
 
 /// Node features [sum_g N_g, node_feature_count()] for B windows (each a
 /// window_size()-frame vector, oldest first) and their scene contexts.
@@ -119,16 +121,5 @@ struct SceneContext {
     const FeatureConfig& config, const Normalizer& norm,
     const std::vector<std::vector<ad::Tensor>>& windows,
     const std::vector<SceneContext>& contexts);
-
-/// Edge features [sum_g E_g, dim+1] from the concatenated newest positions
-/// (rows in member order) and the merged graph.
-[[nodiscard]] ad::Tensor build_batched_edge_features(
-    const FeatureConfig& config, const ad::Tensor& merged_positions,
-    const graph::GraphBatch& batch);
-
-/// Same, with a prebuilt GraphIndex for `batch.merged`.
-[[nodiscard]] ad::Tensor build_batched_edge_features(
-    const FeatureConfig& config, const ad::Tensor& merged_positions,
-    const graph::GraphBatch& batch, const GraphIndex& index);
 
 }  // namespace gns::core

@@ -17,8 +17,8 @@ namespace gns::serve {
 
 namespace {
 
-/// Validated per-job rollout inputs, shared by the single and the batched
-/// execution paths so both build bit-identical tensors.
+/// Validated per-job rollout inputs: one batch member's window and scene
+/// context.
 struct MemberInputs {
   core::Window window;
   core::SceneContext context;
@@ -26,7 +26,7 @@ struct MemberInputs {
 
 /// Parses and validates one request against the model's feature config.
 /// Throws std::runtime_error on malformed input (typed to ExecutionError by
-/// the callers).
+/// the chain preflight).
 MemberInputs build_member_inputs(const RolloutRequest& req,
                                  const core::FeatureConfig& features) {
   if (req.steps <= 0) throw std::runtime_error("steps must be positive");
@@ -296,42 +296,19 @@ JobScheduler::CacheOutcome JobScheduler::consult_cache(Job& job) {
   switch (found.outcome) {
     case store::RolloutCache::Outcome::Hit: {
       job.promise = std::move(state->promise);
-      int depth = 0;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        live_flags_.erase(job.id);
-        depth = static_cast<int>(queue_.size());
-      }
+      job.cache_us = cache_timer.millis() * 1e3;
+      stats_.on_submitted(queue_depth());
       RolloutResult result;
       result.status = JobStatus::Ok;
       result.cached = true;
       result.cache_outcome = serve::CacheOutcome::Hit;
-      result.trace_id = job.request.trace_id;
       result.frames = std::move(found.frames);
-      result.job_id = job.id;
-      result.total_ms = std::chrono::duration<double, std::milli>(
-                            Clock::now() - job.submitted)
-                            .count();
-      result.phases.decode_us = job.request.decode_us;
-      result.phases.cache_us = cache_timer.millis() * 1e3;
-      stats_.on_submitted(depth);
-      stats_.on_resolved(result, depth);
-      if (slow_request_threshold_ms() >= 0.0 &&
-          result.total_ms >= slow_request_threshold_ms()) {
-        log_slow_request(job.request, result);
-      }
-      job.promise.set_value(std::move(result));
+      resolve(std::move(job), std::move(result));
       return CacheOutcome::Resolved;
     }
-    case store::RolloutCache::Outcome::Joined: {
-      int depth = 0;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        depth = static_cast<int>(queue_.size());
-      }
-      stats_.on_submitted(depth);  // accepted work, just not queued work
+    case store::RolloutCache::Outcome::Joined:
+      stats_.on_submitted(queue_depth());  // accepted, just not queued work
       return CacheOutcome::Resolved;
-    }
     case store::RolloutCache::Outcome::Lead:
       job.promise = std::move(state->promise);
       job.has_cache_key = true;
@@ -410,9 +387,9 @@ void JobScheduler::resolve(Job&& job, RolloutResult result) {
     result.cache_outcome = job.has_cache_key ? serve::CacheOutcome::Miss
                                              : serve::CacheOutcome::None;
   }
-  // Phase assembly for the compute path (cache hit/join phases are filled
-  // where those paths resolve). queue_us is the time from submit to the
-  // worker pull, minus what the cache consult already accounted for.
+  // Phase assembly (a joined follower's phases are filled where it
+  // resolves). queue_us is the time from submit to the worker pull, minus
+  // what the cache consult already accounted for.
   result.phases.decode_us = job.request.decode_us;
   result.phases.cache_us = job.cache_us;
   if (job.dequeued != Clock::time_point{}) {
@@ -460,25 +437,18 @@ void JobScheduler::resolve(Job&& job, RolloutResult result) {
 // ---------------------------------------------------------------------------
 
 /// One in-flight rollout chain: preflighted on its first task, then
-/// advanced one step per task so a long rollout never monopolizes a worker.
+/// advanced one BatchedRollout step per task so a long rollout never
+/// monopolizes a worker. A job dispatched alone is a batch of one.
 /// Tensors migrate between executor workers across tasks; that is safe
 /// because tensor storage is plain heap vectors and each task re-enters
 /// NoGradGuard for its own thread-local tape flag.
 struct JobScheduler::ChainState {
   std::vector<Job> jobs;
   std::vector<RolloutResult> results;
-  ModelRegistry::Handle sim;
-  bool single = false;    ///< one job, max_batch <= 1: plain step loop
-  bool prepared = false;  ///< preflight passed; stepping may begin
-  bool done = false;      ///< terminal: finish_chain on this task
-  // Single-job path (LearnedSimulator::rollout's op sequence).
-  core::Window window;
-  core::SceneContext context;
-  // Batched path (core::BatchedRollout, one forward per step).
-  std::vector<std::size_t> members;  ///< job index per live batch member
+  std::vector<std::size_t> members;  ///< job index per batch member
   std::vector<int> steps;
   std::unique_ptr<core::BatchedRollout> rollout;
-  bool batch_failed = false;  ///< batch-level exception: frames are void
+  std::string error;  ///< what() of the step (or setup) that threw
   Clock::time_point exec_started{};
   std::int64_t exec_started_ns = 0;
 };
@@ -650,10 +620,7 @@ void JobScheduler::drain_ready() {
       }
     }
   }
-  for (auto& batch : dispatches) {
-    stats_.on_dispatch(static_cast<int>(batch.size()));
-    start_chain(std::move(batch));
-  }
+  for (auto& batch : dispatches) start_chain(std::move(batch));
   for (std::uint64_t id : filled) dispatch_pending(id);
 }
 
@@ -666,276 +633,142 @@ void JobScheduler::dispatch_pending(std::uint64_t leader_id) {
     jobs = std::move(it->second->jobs);
     pending_batches_.erase(it);
   }
-  // Pre-dispatch sweep: a job cancelled (or expired) while its batch
-  // window was pending resolves HERE and never executes — the batch
-  // timer firing is not a license to run members whose fate is already
-  // decided (tests/test_exec_serve.cpp: CancelWhileBatchWindowPending).
-  std::vector<Job> live;
-  live.reserve(jobs.size());
-  for (Job& job : jobs) {
-    RolloutResult result;
-    result.queue_ms = std::chrono::duration<double, std::milli>(
-                          Clock::now() - job.submitted)
-                          .count();
-    if (job.cancelled->load(std::memory_order_relaxed)) {
-      result.status = JobStatus::Cancelled;
-      resolve(std::move(job), std::move(result));
-    } else if (job.has_deadline && Clock::now() > job.deadline) {
-      result.status = JobStatus::DeadlineExceeded;
-      result.error = "deadline exceeded while queued";
-      resolve(std::move(job), std::move(result));
-    } else {
-      live.push_back(std::move(job));
-    }
-  }
-  if (live.empty()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --active_chains_;  // the parked batch's slot opens with no chain
-    if (!queue_.empty()) schedule_drain_locked();
-    idle_cv_.notify_all();
-    return;
-  }
-  stats_.on_dispatch(static_cast<int>(live.size()));
-  start_chain(std::move(live));
+  start_chain(std::move(jobs));
 }
 
 void JobScheduler::start_chain(std::vector<Job> jobs) {
   auto chain = std::make_shared<ChainState>();
-  chain->single = jobs.size() == 1 && config_.max_batch <= 1;
   chain->jobs = std::move(jobs);
   chain->results.resize(chain->jobs.size());
   std::lock_guard<std::mutex> lock(mutex_);
   spawn_task_locked([this, chain] { chain_step(chain); });
 }
 
+void JobScheduler::preflight(ChainState& chain) {
+  const Clock::time_point started = Clock::now();
+  const ModelRegistry::Handle sim =
+      registry_->get(chain.jobs[0].request.model);
+  std::vector<core::Window> windows;
+  std::vector<core::SceneContext> contexts;
+  for (std::size_t i = 0; i < chain.jobs.size(); ++i) {
+    const Job& job = chain.jobs[i];
+    RolloutResult& result = chain.results[i];
+    result.queue_ms =
+        std::chrono::duration<double, std::milli>(started - job.submitted)
+            .count();
+    if (job.dequeued != Clock::time_point{}) {
+      result.phases.batch_wait_us =
+          std::chrono::duration<double, std::micro>(started - job.dequeued)
+              .count();
+    }
+    if (job.cancelled->load(std::memory_order_relaxed)) {
+      result.status = JobStatus::Cancelled;
+      continue;
+    }
+    if (job.has_deadline && Clock::now() > job.deadline) {
+      result.status = JobStatus::DeadlineExceeded;
+      result.error = "deadline exceeded while queued";
+      continue;
+    }
+    if (sim == nullptr) {
+      result.status = JobStatus::ModelNotFound;
+      result.error = "no model registered as '" + job.request.model + "'";
+      continue;
+    }
+    try {  // a malformed member fails alone; its siblings still step
+      MemberInputs inputs = build_member_inputs(job.request, sim->features());
+      windows.push_back(std::move(inputs.window));
+      contexts.push_back(std::move(inputs.context));
+      chain.members.push_back(i);
+      chain.steps.push_back(job.request.steps);
+      result.status = JobStatus::Ok;
+    } catch (const std::exception& e) {
+      result.status = JobStatus::ExecutionError;
+      result.error = e.what();
+    }
+  }
+  if (chain.members.empty()) return;
+  stats_.on_dispatch(static_cast<int>(chain.members.size()));
+  chain.exec_started = Clock::now();
+  chain.exec_started_ns = obs::trace_now_ns();
+  chain.rollout = std::make_unique<core::BatchedRollout>(
+      sim, windows, chain.steps, contexts);
+}
+
 void JobScheduler::chain_step(const std::shared_ptr<ChainState>& chain) {
   // Per-task guard: the tape flag is thread-local and this chain's tasks
   // land on whichever worker steals them.
   ad::NoGradGuard no_grad;
-  if (!chain->prepared && !chain->done) {
-    const Clock::time_point started = Clock::now();
-    for (std::size_t i = 0; i < chain->jobs.size(); ++i) {
-      chain->results[i].queue_ms = std::chrono::duration<double, std::milli>(
-                                       started - chain->jobs[i].submitted)
-                                       .count();
-      if (chain->jobs[i].dequeued != Clock::time_point{}) {
-        chain->results[i].phases.batch_wait_us =
-            std::chrono::duration<double, std::micro>(
-                started - chain->jobs[i].dequeued)
-                .count();
-      }
-    }
-    chain->sim = registry_->get(chain->jobs[0].request.model);
-    if (chain->single) {
-      Job& job = chain->jobs[0];
-      RolloutResult& result = chain->results[0];
-      if (job.cancelled->load(std::memory_order_relaxed)) {
-        result.status = JobStatus::Cancelled;
-        chain->done = true;
-      } else if (job.has_deadline && Clock::now() > job.deadline) {
-        result.status = JobStatus::DeadlineExceeded;
-        result.error = "deadline exceeded while queued";
-        chain->done = true;
-      } else if (chain->sim == nullptr) {
-        result.status = JobStatus::ModelNotFound;
-        result.error =
-            "no model registered as '" + job.request.model + "'";
-        chain->done = true;
-      } else {
-        chain->exec_started = Clock::now();
-        chain->exec_started_ns = obs::trace_now_ns();
-        try {
-          MemberInputs inputs =
-              build_member_inputs(job.request, chain->sim->features());
-          chain->window = std::move(inputs.window);
-          chain->context = std::move(inputs.context);
-          result.frames.reserve(
-              static_cast<std::size_t>(job.request.steps));
-          result.status = JobStatus::Ok;
-          chain->prepared = true;
-        } catch (const std::exception& e) {
-          result.status = JobStatus::ExecutionError;
-          result.error = e.what();
-          chain->done = true;
-        }
-      }
-    } else {
-      // Pre-flight: resolve members that never get to run, validate the
-      // rest. A malformed member fails alone — it must not take its batch
-      // siblings down with it.
-      std::vector<core::Window> windows;
-      std::vector<core::SceneContext> contexts;
-      for (std::size_t i = 0; i < chain->jobs.size(); ++i) {
-        RolloutResult& result = chain->results[i];
-        const Job& job = chain->jobs[i];
-        if (job.cancelled->load(std::memory_order_relaxed)) {
-          result.status = JobStatus::Cancelled;
-          continue;
-        }
-        if (job.has_deadline && Clock::now() > job.deadline) {
-          result.status = JobStatus::DeadlineExceeded;
-          result.error = "deadline exceeded while queued";
-          continue;
-        }
-        if (chain->sim == nullptr) {
-          result.status = JobStatus::ModelNotFound;
-          result.error =
-              "no model registered as '" + job.request.model + "'";
-          continue;
-        }
-        try {
-          MemberInputs inputs =
-              build_member_inputs(job.request, chain->sim->features());
-          chain->members.push_back(i);
-          windows.push_back(std::move(inputs.window));
-          contexts.push_back(std::move(inputs.context));
-          chain->steps.push_back(job.request.steps);
-        } catch (const std::exception& e) {
-          result.status = JobStatus::ExecutionError;
-          result.error = e.what();
-        }
-      }
-      if (chain->members.empty()) {
-        chain->done = true;
-      } else {
-        chain->exec_started = Clock::now();
-        chain->exec_started_ns = obs::trace_now_ns();
-        try {
-          chain->rollout = std::make_unique<core::BatchedRollout>(
-              chain->sim, windows, chain->steps, contexts);
-          chain->prepared = true;
-        } catch (const std::exception& e) {
-          for (std::size_t m : chain->members) {
-            if (chain->results[m].status == JobStatus::ExecutionError &&
-                chain->results[m].error.empty()) {
-              chain->results[m].error = e.what();
-            }
-          }
-          chain->batch_failed = true;
-          chain->done = true;
-        }
-      }
-    }
-    if (chain->done) {
-      finish_chain(chain);
-      return;
-    }
-  }
-
-  // One rollout step, then yield the worker: resubmit as a continuation.
-  if (chain->single) {
-    Job& job = chain->jobs[0];
-    RolloutResult& result = chain->results[0];
-    const int total = job.request.steps;
+  // The gate runs before every step: an expired or cancelled member is
+  // compacted out with its partial frames while the rest keep stepping, so
+  // each member's deadline is honored even though they share forward
+  // passes.
+  const auto gate = [&chain](int m) {
+    const Job& job = chain->jobs[chain->members[m]];
+    RolloutResult& result = chain->results[chain->members[m]];
     if (job.cancelled->load(std::memory_order_relaxed)) {
-      result.status = JobStatus::Cancelled;  // keeps frames computed so far
-      chain->done = true;
-    } else if (job.has_deadline && Clock::now() > job.deadline) {
+      result.status = JobStatus::Cancelled;
+      return false;
+    }
+    if (job.has_deadline && Clock::now() > job.deadline) {
       result.status = JobStatus::DeadlineExceeded;
-      result.error = "deadline exceeded after " +
-                     std::to_string(result.frames.size()) + " of " +
-                     std::to_string(total) + " steps";
-      chain->done = true;
-    } else {
-      try {
-        // Mirrors LearnedSimulator::rollout exactly (same op sequence),
-        // so chunked serving stays bit-identical to the one-shot API.
-        ad::Tensor next = chain->sim->step(chain->window, chain->context);
-        result.frames.push_back(core::tensor_to_frame(next));
-        chain->window.erase(chain->window.begin());
-        chain->window.push_back(next);
-        if (static_cast<int>(result.frames.size()) >= total)
-          chain->done = true;
-      } catch (const std::exception& e) {
-        result.status = JobStatus::ExecutionError;
-        result.error = e.what();
-        chain->done = true;
-      }
+      return false;
     }
-  } else {
-    // The gate runs before every batched step: an expired or cancelled
-    // member is compacted out with its partial frames while the rest of
-    // the batch keeps stepping, so the earliest member deadline is
-    // honored even though the members share forward passes.
-    const auto gate = [&chain](int m) {
-      const Job& job = chain->jobs[chain->members[m]];
-      RolloutResult& result = chain->results[chain->members[m]];
-      if (job.cancelled->load(std::memory_order_relaxed)) {
-        result.status = JobStatus::Cancelled;
-        return false;
-      }
-      if (job.has_deadline && Clock::now() > job.deadline) {
-        result.status = JobStatus::DeadlineExceeded;
-        return false;
-      }
-      return true;
-    };
-    try {
-      if (!chain->rollout->step_once(gate)) chain->done = true;
-    } catch (const std::exception& e) {
-      // Batch-level failure: fails every member that was still running.
-      for (std::size_t m : chain->members) {
-        if (chain->results[m].status == JobStatus::ExecutionError &&
-            chain->results[m].error.empty()) {
-          chain->results[m].error = e.what();
-        }
-      }
-      chain->batch_failed = true;
-      chain->done = true;
-    }
+    return true;
+  };
+  bool more = false;
+  try {
+    if (chain->rollout == nullptr) preflight(*chain);
+    more = chain->rollout != nullptr && chain->rollout->step_once(gate);
+  } catch (const std::exception& e) {
+    chain->error = e.what();  // finish_chain fails the members still stepping
   }
-
-  if (chain->done) {
+  if (!more) {
     finish_chain(chain);
     return;
   }
+  // One step done: yield the worker and resubmit as a continuation.
   std::lock_guard<std::mutex> lock(mutex_);
   spawn_task_locked([this, chain] { chain_step(chain); });
 }
 
 void JobScheduler::finish_chain(const std::shared_ptr<ChainState>& chain) {
-  const bool ran = chain->exec_started_ns != 0;
-  if (ran) {
+  if (chain->exec_started_ns != 0) {
     const double exec_ms = std::chrono::duration<double, std::milli>(
                                Clock::now() - chain->exec_started)
                                .count();
     const std::int64_t end_ns = obs::trace_now_ns();
-    if (chain->single) {
-      chain->results[0].exec_ms = exec_ms;
-      obs::record_manual_span("serve.scheduler.execute",
-                              chain->exec_started_ns, end_ns,
-                              chain->jobs[0].request.trace_id,
-                              static_cast<std::int64_t>(chain->jobs[0].id));
-    } else {
-      if (!chain->batch_failed && chain->rollout != nullptr) {
-        auto frames = chain->rollout->take_frames();
-        for (std::size_t m = 0; m < chain->members.size(); ++m) {
-          RolloutResult& result = chain->results[chain->members[m]];
-          result.frames = std::move(frames[m]);
-          if (result.status == JobStatus::DeadlineExceeded) {
-            result.error = "deadline exceeded after " +
-                           std::to_string(result.frames.size()) + " of " +
-                           std::to_string(chain->steps[m]) + " steps";
-          } else if (result.status == JobStatus::ExecutionError &&
-                     result.error.empty()) {
-            result.status = JobStatus::Ok;  // default-initialized: ran clean
-          }
-        }
+    std::vector<std::vector<std::vector<double>>> frames;
+    if (chain->rollout != nullptr) frames = chain->rollout->take_frames();
+    for (std::size_t m = 0; m < chain->members.size(); ++m) {
+      const std::size_t i = chain->members[m];
+      RolloutResult& result = chain->results[i];
+      if (!frames.empty()) result.frames = std::move(frames[m]);
+      const std::size_t want = static_cast<std::size_t>(chain->steps[m]);
+      if (result.status == JobStatus::DeadlineExceeded) {
+        result.error = "deadline exceeded after " +
+                       std::to_string(result.frames.size()) + " of " +
+                       std::to_string(want) + " steps";
+      } else if (result.status == JobStatus::Ok &&
+                 result.frames.size() < want) {
+        // The one failure rule: a step threw while this member was still
+        // stepping. It keeps the frames it already has; members that had
+        // finished before the throw keep Ok.
+        result.status = JobStatus::ExecutionError;
+        result.error = chain->error;
       }
       // Forward passes are shared, so per-member execution time is the
-      // batch's wall time; one span per member keeps traced requests
-      // visible even when their compute was amortized across a batch.
-      for (std::size_t m : chain->members) chain->results[m].exec_ms = exec_ms;
-      obs::record_manual_span(
-          "serve.scheduler.execute_batch", chain->exec_started_ns, end_ns, 0,
-          static_cast<std::int64_t>(chain->jobs.size()));
-      for (std::size_t m : chain->members) {
-        obs::record_manual_span("serve.scheduler.execute_member",
-                                chain->exec_started_ns, end_ns,
-                                chain->jobs[m].request.trace_id,
-                                static_cast<std::int64_t>(chain->jobs[m].id));
-      }
+      // chain's wall time; each member gets its own execute span so traced
+      // requests stay visible when their compute was amortized.
+      result.exec_ms = exec_ms;
+      obs::record_manual_span("serve.scheduler.execute",
+                              chain->exec_started_ns, end_ns,
+                              chain->jobs[i].request.trace_id,
+                              static_cast<std::int64_t>(chain->jobs[i].id));
     }
+    obs::record_manual_span(
+        "serve.scheduler.execute_batch", chain->exec_started_ns, end_ns, 0,
+        static_cast<std::int64_t>(chain->members.size()));
   }
   for (std::size_t i = 0; i < chain->jobs.size(); ++i)
     resolve(std::move(chain->jobs[i]), std::move(chain->results[i]));

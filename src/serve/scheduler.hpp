@@ -7,17 +7,24 @@
 /// Execution model: the scheduler owns no threads. submit() enqueues and
 /// schedules a drain task on the global work-stealing executor; the drain
 /// pops jobs (up to `workers` concurrent dispatch chains) and runs each
-/// rollout as a continuation chain — one executor task per step, each
-/// under its own NoGradGuard, re-checking deadline and cancellation
-/// before every step. Batch-window coalescing becomes a timer-wheel task:
-/// an underfull batch parks as a PendingBatch whose timer fires at
-/// min(window end, earliest member deadline); later drains top it up and
-/// dispatch early when it fills, and the timer-fire path sweeps cancelled
-/// or expired members out BEFORE dispatch, so a job cancelled while its
-/// batch window is pending never executes. Queued-job deadlines are timer
-/// cancellations too: the timer resolves a still-queued job
-/// DeadlineExceeded the moment its budget lapses, and is cancelled when
-/// the job dispatches.
+/// dispatch as a continuation chain over one core::BatchedRollout — one
+/// executor task per step, each under its own NoGradGuard. A job
+/// dispatched alone is a batch of one: there is no separate single-job
+/// path. Batch-window coalescing becomes a timer-wheel task: an underfull
+/// batch parks as a PendingBatch whose timer fires at min(window end,
+/// earliest member deadline); later drains top it up and dispatch early
+/// when it fills. Queued-job deadlines are timer cancellations too: the
+/// timer resolves a still-queued job DeadlineExceeded the moment its budget
+/// lapses, and is cancelled when the job dispatches.
+///
+/// Every chain's first task is its preflight, the one pre-run gate: a
+/// member that is cancelled, expired, names an unknown model or carries
+/// malformed input resolves there and never steps — so a job cancelled
+/// while its batch window is pending never executes. Before every later
+/// step a per-member gate compacts out cancelled or expired members with
+/// their partial frames. One failure rule: if a step throws, every member
+/// still stepping resolves ExecutionError with the frames it already has,
+/// and members that had finished keep Ok.
 ///
 /// submit() never blocks — when the queue is full the returned future is
 /// already resolved with JobStatus::QueueFull (backpressure is the
@@ -25,16 +32,14 @@
 /// runaway request occupies a chain slot for at most one extra step past
 /// its budget.
 ///
-/// Batched dispatch (max_batch > 1): a drain that pops a job also pulls up
-/// to max_batch-1 more queued jobs for the *same model* (skipping
-/// incompatible ones, which stay queued for other chains), waiting at most
-/// batch_window_us for stragglers — but never past the earliest member
-/// deadline. The members run as ONE block-diagonal rollout
-/// (core::BatchedSimulator): one GNS forward per step for the whole batch.
-/// Per-member deadlines/cancellation still hold — an expired or cancelled
-/// member is compacted out between steps with its partial frames while the
-/// rest keep batching. Dispatch sizes land in the `<prefix>.batch_size`
-/// histogram.
+/// Batched dispatch: a drain that pops a job also pulls up to max_batch-1
+/// more queued jobs for the *same model* (skipping incompatible ones, which
+/// stay queued for other chains), waiting at most batch_window_us for
+/// stragglers — but never past the earliest member deadline. The members
+/// run as ONE block-diagonal rollout (core::BatchedRollout): one GNS
+/// forward per step for the whole batch. max_batch = 1 means batches of
+/// one, not a separate path. The number of members that start stepping
+/// lands in the `<prefix>.batch_size` histogram, once per chain.
 ///
 /// Chains share model weights through registry handles but build all
 /// per-job tensors locally; the autograd tape is thread-local and disabled
@@ -79,8 +84,8 @@ namespace gns::serve {
 struct SchedulerConfig {
   int workers = 4;          ///< max concurrent dispatch chains (>= 1)
   int queue_capacity = 64;  ///< max queued (not yet running) jobs (>= 1)
-  /// Max jobs coalesced into one block-diagonal rollout; 1 disables
-  /// batching (one job per chain).
+  /// Max jobs coalesced into one block-diagonal rollout; 1 runs every job
+  /// as a batch of one.
   int max_batch = 1;
   /// How long an underfull batch waits for more
   /// same-model jobs to arrive, in microseconds. 0 = dispatch immediately
@@ -187,8 +192,8 @@ class JobScheduler {
     std::string model;
     exec::Executor::TimerId timer = 0;
   };
-  /// One in-flight rollout chain: jobs, per-member results,
-  /// and the incremental batched rollout advanced one step per task.
+  /// One in-flight rollout chain: jobs, per-job results, and the
+  /// incremental batched rollout advanced one step per task.
   struct ChainState;
 
   /// Moves up to max_batch same-model jobs out of queue_ into `batch`, stamping
@@ -201,12 +206,14 @@ class JobScheduler {
   /// Drain task body: tops up pending batches, then pops jobs into new
   /// dispatch chains while chain slots (config_.workers) are free.
   void drain_ready();
-  /// Moves the pending batch keyed by `leader_id` to execution. Sweeps
-  /// cancelled/expired members BEFORE dispatch — a job cancelled while
-  /// its batch-window timer was pending resolves without ever executing.
+  /// Moves the pending batch keyed by `leader_id` to a new chain.
   void dispatch_pending(std::uint64_t leader_id);
   /// Builds a ChainState for `jobs` and submits its first task.
   void start_chain(std::vector<Job> jobs);
+  /// The one pre-run gate: resolves members that are cancelled, expired,
+  /// unknown-model or malformed, records the dispatch, and builds the
+  /// BatchedRollout of the rest (left null when no member steps).
+  void preflight(ChainState& chain);
   /// One chain task: preflight on the first call, then one rollout step;
   /// resubmits itself until the rollout finishes, then finalizes.
   void chain_step(const std::shared_ptr<ChainState>& chain);

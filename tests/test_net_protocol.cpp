@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "net/protocol.hpp"
 #include "util/rng.hpp"
@@ -26,6 +29,29 @@ serve::RolloutRequest sample_request() {
                 {0.2, 0.3, 0.4, 0.5}};
   req.node_attrs = {1.0, 0.0};
   return req;
+}
+
+/// Doubles the wire must carry untouched: a quiet NaN with payload bits,
+/// +-Inf, the smallest subnormal, +-1e300 and -0.0.
+std::vector<double> non_finite_payload() {
+  return {std::bit_cast<double>(0x7FF800000000BEEFull),
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::denorm_min(),
+          1e300,
+          -1e300,
+          -0.0};
+}
+
+/// Bit patterns, so NaN payloads and the sign of zero compare exactly.
+std::uint64_t bits(double value) {
+  return std::bit_cast<std::uint64_t>(value);
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(bits(v));
+  return out;
 }
 
 /// Decodes the frame at the buffer head, asserting it frames correctly.
@@ -55,6 +81,25 @@ TEST(NetProtocol, RolloutRequestRoundTripIsExact) {
   EXPECT_EQ(out.deadline_ms, req.deadline_ms);
   EXPECT_EQ(out.window, req.window);
   EXPECT_EQ(out.node_attrs, req.node_attrs);
+
+  // Non-finite and extreme values in every double field of the request
+  // (window, material, node_attrs) arrive with their exact bit patterns.
+  const std::vector<double> payload = non_finite_payload();
+  for (const double material : payload) {
+    serve::RolloutRequest hostile = sample_request();
+    hostile.material = material;
+    hostile.window = {payload, payload, payload};
+    hostile.node_attrs = payload;
+    serve::RolloutRequest back;
+    ASSERT_TRUE(decode_rollout_request(
+        must_frame(encode_rollout_request(78, hostile)), back, error))
+        << error;
+    EXPECT_EQ(bits(back.material), bits(material));
+    ASSERT_EQ(back.window.size(), hostile.window.size());
+    for (std::size_t t = 0; t < hostile.window.size(); ++t)
+      EXPECT_EQ(bits(back.window[t]), bits(hostile.window[t])) << t;
+    EXPECT_EQ(bits(back.node_attrs), bits(hostile.node_attrs));
+  }
 }
 
 TEST(NetProtocol, ChunkStatusErrorRoundTrip) {
@@ -70,6 +115,19 @@ TEST(NetProtocol, ChunkStatusErrorRoundTrip) {
     EXPECT_EQ(out.first_frame, 5u);
     EXPECT_EQ(out.num_frames(), 2u);
     EXPECT_EQ(out.data, chunk.data);
+  }
+  {
+    WireChunk hostile;
+    hostile.first_frame = 0;
+    hostile.data = non_finite_payload();
+    hostile.frame_len = static_cast<std::uint32_t>(hostile.data.size());
+    WireChunk out;
+    std::string error;
+    ASSERT_TRUE(decode_rollout_chunk(
+        must_frame(encode_rollout_chunk(10, hostile)), out, error))
+        << error;
+    EXPECT_EQ(out.num_frames(), 1u);
+    EXPECT_EQ(bits(out.data), bits(hostile.data));
   }
   {
     WireStatus status;

@@ -497,5 +497,51 @@ TEST_F(ServeTest, BatchedMalformedMemberFailsAloneAndCancelledMemberSkipped) {
   EXPECT_EQ(c.result.get().status, JobStatus::Cancelled);
 }
 
+TEST_F(ServeTest, FailedStepKeepsFinishedMemberOkAndFailingMemberPrefix) {
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->put("m", make_small_sim());
+  ModelRegistry::Handle sim = registry->get("m");
+  const auto serial = sim->rollout(window_of(*sim), 1, context_of());
+
+  SchedulerConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_capacity = 8;
+  cfg.max_batch = 2;
+  JobScheduler scheduler(registry, cfg);
+
+  // Two particles 0.1 apart moving apart at 0.5 per frame: step 1 sees one
+  // edge pair, step 2 (past the 0.4 connectivity radius) sees none and
+  // throws.
+  RolloutRequest scatter;
+  scatter.model = "m";
+  scatter.steps = 3;
+  scatter.material = 0.6;
+  const int w = sim->features().window_size();
+  for (int t = 0; t < w; ++t) {
+    const double back = static_cast<double>(w - 1 - t);
+    scatter.window.push_back(
+        {0.45 + 0.25 * back, 0.5, 0.55 - 0.25 * back, 0.5});
+  }
+
+  scheduler.pause();  // both jobs queue, then coalesce into one batch
+  JobTicket a = scheduler.submit(small_request(*sim, 1));
+  JobTicket b = scheduler.submit(std::move(scatter));
+  scheduler.resume();
+
+  // A finished on step 1, before the step that threw: it keeps Ok and its
+  // frame is bitwise the solo rollout's.
+  RolloutResult ra = a.result.get();
+  ASSERT_EQ(ra.status, JobStatus::Ok) << ra.error;
+  ASSERT_EQ(ra.frames.size(), serial.size());
+  for (std::size_t k = 0; k < serial[0].size(); ++k)
+    ASSERT_EQ(ra.frames[0][k], serial[0][k]);
+
+  // B was still stepping when step 2 threw: typed error, 1-frame prefix.
+  RolloutResult rb = b.result.get();
+  EXPECT_EQ(rb.status, JobStatus::ExecutionError);
+  EXPECT_NE(rb.error.find("no edges"), std::string::npos) << rb.error;
+  EXPECT_EQ(rb.frames.size(), 1u);
+}
+
 }  // namespace
 }  // namespace gns::serve
