@@ -1,8 +1,26 @@
 #include "ad/nn.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "ad/kernels.hpp"
+#include "exec/parallel_for.hpp"
+#include "obs/trace.hpp"
+#include "util/simd.hpp"
+
 namespace gns::ad {
+
+namespace {
+
+/// Per-worker scratch of the tape-free MLP pass. It grows to the largest
+/// tile this thread has run and is reused by every later call.
+Real* tile_scratch(std::size_t size) {
+  thread_local std::vector<Real> buffer;
+  if (buffer.size() < size) buffer.resize(size);
+  return buffer.data();
+}
+
+}  // namespace
 
 std::vector<Real> Module::state() const {
   std::vector<Real> out;
@@ -81,19 +99,128 @@ Mlp::Mlp(int in_features, int hidden_size, int hidden_layers,
   if (output_layer_norm) norm_ = std::make_unique<LayerNorm>(out_features);
 }
 
-Tensor Mlp::forward(const Tensor& x) const {
-  // One fused kernel per layer instead of matmul/add/act tensors; bitwise
-  // identical to chaining Linear::forward and relu/tanh_op (see ops.hpp).
+MlpInput::MlpInput(std::initializer_list<RowPart> parts) : parts_(parts) {
+  GNS_CHECK_MSG(!parts_.empty(), "MlpInput of zero parts");
+  for (std::size_t k = 0; k < parts_.size(); ++k) {
+    const RowPart& part = parts_[k];
+    int n = part.tensor.rows();
+    if (part.rows != nullptr) {
+      GNS_CHECK_MSG(part.rows->defined(), "MlpInput with undefined IndexMap");
+      GNS_CHECK_MSG(part.rows->num_buckets() == n,
+                    "MlpInput IndexMap built for " << part.rows->num_buckets()
+                                                   << " rows, tensor has "
+                                                   << n);
+      part.rows->dcheck_valid();
+      n = part.rows->size();
+    }
+    GNS_CHECK_MSG(k == 0 || n == rows_,
+                  "MlpInput row mismatch: " << n << " vs " << rows_);
+    rows_ = n;
+    cols_ += part.tensor.cols();
+  }
+  GNS_CHECK_MSG(rows_ > 0, "MlpInput with no rows");
+}
+
+void MlpInput::read_rows(int begin, int count, Real* dst) const {
+  for (int i = begin; i < begin + count; ++i) {
+    for (const RowPart& part : parts_) {
+      const int c = part.tensor.cols();
+      const int src = part.rows != nullptr ? part.rows->index()[i] : i;
+      simd::copy(dst, part.tensor.data() + static_cast<std::size_t>(src) * c,
+                 static_cast<std::size_t>(c));
+      dst += c;
+    }
+  }
+}
+
+const Tensor& MlpInput::joined() const {
+  if (joined_.defined()) return joined_;
+  if (parts_.size() == 1 && parts_[0].rows == nullptr) {
+    joined_ = parts_[0].tensor;
+    return joined_;
+  }
+  std::vector<Tensor> cols;
+  cols.reserve(parts_.size());
+  for (const RowPart& part : parts_)
+    cols.push_back(part.rows != nullptr ? gather_rows(part.tensor, *part.rows)
+                                        : part.tensor);
+  joined_ = concat_cols(cols);
+  return joined_;
+}
+
+Tensor Mlp::forward(const Tensor& x) const { return forward_rows({x}, nullptr); }
+
+Tensor Mlp::forward_rows(const MlpInput& input, const Tensor* residual) const {
+  GNS_CHECK_MSG(input.cols() == in_, "Mlp expects " << in_
+                                                    << " input features, got "
+                                                    << input.cols());
+  const int n = input.rows();
+  if (residual != nullptr) {
+    GNS_CHECK_MSG(residual->rows() == n && residual->cols() == out_,
+                  "Mlp residual must be [" << n << "," << out_ << "], got "
+                                           << residual->rows() << "x"
+                                           << residual->cols());
+  }
   const FusedAct hidden_act =
       (activation_ == Activation::ReLU) ? FusedAct::ReLU : FusedAct::Tanh;
-  Tensor h = x;
-  for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
-    h = linear_act(h, layers_[i].weight(), layers_[i].bias(), hidden_act);
+
+  if (grad_enabled()) {
+    Tensor h = input.joined();
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+      const bool last = i + 1 == layers_.size();
+      h = linear_act(h, layers_[i].weight(), layers_[i].bias(),
+                     last ? FusedAct::Identity : hidden_act);
+    }
+    if (norm_) h = norm_->forward(h);
+    if (residual != nullptr) h = add(h, *residual);
+    return h;
   }
-  h = linear_act(h, layers_.back().weight(), layers_.back().bias(),
-                 FusedAct::Identity);
-  if (norm_) h = norm_->forward(h);
-  return h;
+
+  GNS_TRACE_SCOPE("ad.mlp.forward_rows");
+  int width = 0;
+  std::int64_t macs_per_row = 0;
+  for (const Linear& layer : layers_) {
+    width = std::max(width, layer.out_features());
+    macs_per_row +=
+        static_cast<std::int64_t>(layer.in_features()) * layer.out_features();
+  }
+  Tensor out = Tensor::zeros(n, out_);
+  Real* ov = out.data();
+  const Real* rv = residual != nullptr ? residual->data() : nullptr;
+  const int tiles = (n + kRowTile - 1) / kRowTile;
+  exec::parallel_for(tiles, n * macs_per_row > 1 << 16, [&](std::int64_t t) {
+    const int i0 = static_cast<int>(t) * kRowTile;
+    const int rows = std::min(kRowTile, n - i0);
+    Real* x = tile_scratch(static_cast<std::size_t>(kRowTile) *
+                           (in_ + 2 * width));
+    Real* ping = x + static_cast<std::size_t>(kRowTile) * in_;
+    Real* pong = ping + static_cast<std::size_t>(kRowTile) * width;
+    Real* y = ov + static_cast<std::size_t>(i0) * out_;
+    input.read_rows(i0, rows, x);
+    const Real* h = x;
+    for (std::size_t i = 0; i < layers_.size(); ++i) {
+      const Linear& layer = layers_[i];
+      const bool last = i + 1 == layers_.size();
+      Real* dst = (last && !norm_) ? y : (i % 2 == 0 ? ping : pong);
+      linear_act_rows(h, layer.weight().data(),
+                      layer.bias().defined() ? layer.bias().data() : nullptr,
+                      dst, rows, layer.in_features(), layer.out_features(),
+                      last ? FusedAct::Identity : hidden_act);
+      h = dst;
+    }
+    if (norm_) {
+      for (int r = 0; r < rows; ++r)
+        layer_norm_row(h + static_cast<std::size_t>(r) * out_,
+                       norm_->gamma().data(), norm_->beta().data(),
+                       norm_->eps(), y + static_cast<std::size_t>(r) * out_,
+                       out_);
+    }
+    // y + residual, the add() of the taped chain.
+    if (rv != nullptr)
+      simd::accumulate(y, rv + static_cast<std::size_t>(i0) * out_,
+                       static_cast<std::size_t>(rows) * out_);
+  });
+  return out;
 }
 
 std::vector<Tensor> Mlp::parameters() const {

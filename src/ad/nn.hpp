@@ -6,8 +6,10 @@
 /// decoder (per Sanchez-Gonzalez et al. 2020: hidden layers with ReLU, an
 /// optional LayerNorm on the output).
 
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ad/ops.hpp"
@@ -70,6 +72,10 @@ class LayerNorm : public Module {
   [[nodiscard]] Tensor forward(const Tensor& x) const;
   [[nodiscard]] std::vector<Tensor> parameters() const override;
 
+  [[nodiscard]] const Tensor& gamma() const { return gamma_; }
+  [[nodiscard]] const Tensor& beta() const { return beta_; }
+  [[nodiscard]] Real eps() const { return eps_; }
+
  private:
   Tensor gamma_;
   Tensor beta_;
@@ -78,6 +84,46 @@ class LayerNorm : public Module {
 
 /// Activation used between MLP layers.
 enum class Activation { ReLU, Tanh };
+
+/// One column block of an MLP's input rows: `tensor` read row for row, or
+/// gathered through `rows` (input row i is tensor row rows->index()[i]).
+/// The map is borrowed and must outlive the MlpInput.
+struct RowPart {
+  RowPart(Tensor t) : tensor(std::move(t)) {}
+  RowPart(Tensor t, const IndexMap& index)
+      : tensor(std::move(t)), rows(&index) {}
+
+  Tensor tensor;
+  const IndexMap* rows = nullptr;
+};
+
+/// The input rows of an MLP: the column-wise concatenation of its parts,
+/// e.g. a GNS edge update's [e | v[senders] | v[receivers]]. The tape-free
+/// pass reads the parts in place. The taped path joins them into one
+/// tensor on first use, so every MLP fed the same MlpInput shares one tape
+/// node.
+class MlpInput {
+ public:
+  MlpInput(std::initializer_list<RowPart> parts);
+
+  [[nodiscard]] int rows() const { return rows_; }
+  [[nodiscard]] int cols() const { return cols_; }
+
+  /// Copies input rows [begin, begin + count) into `dst` (row stride
+  /// cols()).
+  void read_rows(int begin, int count, Real* dst) const;
+
+  /// The concatenation as one taped tensor: gather_rows for each indexed
+  /// part, then concat_cols (a lone unindexed part is returned as is).
+  /// Built once and cached.
+  [[nodiscard]] const Tensor& joined() const;
+
+ private:
+  std::vector<RowPart> parts_;
+  int rows_ = 0;
+  int cols_ = 0;
+  mutable Tensor joined_;
+};
 
 /// Multilayer perceptron: `hidden_layers` hidden layers of `hidden_size`
 /// with the chosen activation, a linear output layer, and an optional
@@ -89,7 +135,21 @@ class Mlp : public Module {
       Rng& rng, bool output_layer_norm = false,
       Activation activation = Activation::ReLU);
 
+  /// forward_rows({x}, nullptr).
   [[nodiscard]] Tensor forward(const Tensor& x) const;
+
+  /// Row i of the result is the MLP of input row i, plus `residual` row i
+  /// when one is given ([rows, out_features]).
+  ///  * Tape on (grad_enabled()): the op chain input.joined() ->
+  ///    linear_act per layer -> layer_norm -> add, taped as ops.
+  ///  * Tape off: one parallel pass over tiles of kRowTile rows. Each tile
+  ///    reads its input rows into a per-worker scratch buffer, runs every
+  ///    layer, the LayerNorm and the residual add on them, and writes its
+  ///    output rows; the output is the only tensor allocated.
+  /// Both run the same row kernels (ad/kernels.hpp), so the results are
+  /// bitwise equal.
+  [[nodiscard]] Tensor forward_rows(const MlpInput& input,
+                                    const Tensor* residual = nullptr) const;
   [[nodiscard]] std::vector<Tensor> parameters() const override;
 
   [[nodiscard]] int in_features() const { return in_; }

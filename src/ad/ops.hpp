@@ -78,8 +78,9 @@ enum class FusedAct { Identity, ReLU, Tanh };
 
 /// Fused act(x·W + b): one pass over each output tile instead of three
 /// tensors (matmul, +bias, activation). `b` is [1,M] or undefined (no
-/// bias). Mlp::forward always runs this kernel. Forward values and
-/// backward gradients are bitwise identical to the unfused op chain
+/// bias). Every Mlp layer runs this op with the tape on; the tape-free
+/// Mlp pass runs its row kernel (ad/kernels.hpp) directly. Forward values
+/// and backward gradients are bitwise identical to the unfused op chain
 /// (matmul, add, relu/tanh_op) — the kernels replicate matmul's
 /// accumulation order exactly — and that chain is the oracle
 /// tests/test_nn.cpp checks it against.

@@ -1,9 +1,11 @@
+#include <algorithm>
 #include <cmath>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #endif
 
+#include "ad/kernels.hpp"
 #include "ad/ops.hpp"
 #include "exec/parallel_for.hpp"
 #include "obs/trace.hpp"
@@ -65,13 +67,15 @@ void gemm_tn_acc(const Real* a, const Real* go, Real* gb, int n, int k,
   });
 }
 
-/// One fused output row, portable path: the exact gemm_acc accumulation
-/// (same ascending-p order, same zero-skip) followed by bias add and
-/// activation while the row is still cache-hot. Element-for-element this
-/// performs the identical FP operation sequence as matmul -> add -> act,
-/// so results are bitwise equal to the unfused chain.
+/// One fused output row, portable path (CPUs without AVX2): the exact
+/// gemm_acc accumulation (same ascending-p order, same zero-skip) from a
+/// zeroed row, followed by bias add and activation while the row is still
+/// cache-hot. Element-for-element this performs the identical FP operation
+/// sequence as matmul -> add -> act, so results are bitwise equal to the
+/// unfused chain.
 void fused_row_scalar(const Real* arow, const Real* w, const Real* bias,
                       Real* crow, int k, int m, FusedAct act) {
+  std::fill(crow, crow + m, Real(0));
   for (int p = 0; p < k; ++p) {
     const Real av = arow[p];
     if (av == Real(0)) continue;
@@ -101,105 +105,114 @@ void fused_row_scalar(const Real* arow, const Real* w, const Real* bias,
 #if defined(__x86_64__) && defined(__GNUC__)
 #define GNS_AVX2_KERNELS 1
 
-/// One NV*4-column block of one fused output row, AVX2. Bitwise-identical
-/// to fused_row_scalar: separate _mm256_mul_pd / _mm256_add_pd (never FMA
-/// — a fused multiply-add would skip the intermediate rounding), each lane
-/// runs the same correctly-rounded IEEE ops in the same ascending-p order
-/// with the same zero-skip, and _mm256_max_pd(v, 0) matches `v > 0 ? v : 0`
-/// exactly (both return +0.0 for v == -0.0 and the second operand, 0, for
-/// NaN). What the vector version buys is the block held in NV ymm
-/// accumulators across the whole p loop — independent dependency chains
-/// (8 at the hot 32-column width, enough to hide addpd latency) — instead
-/// of a memory round-trip per p. Tanh stays scalar libm so transcendentals
-/// match the unfused op.
-template <int NV>
-__attribute__((target("avx2"))) void fused_avx2_block(const Real* arow,
+/// R rows × 4·NV columns of act(x·W + b), AVX2: the register tile. The
+/// R·NV ymm accumulators stay live across the whole p loop — independent
+/// dependency chains that hide addpd latency — and each weight vector
+/// loaded for p serves all R rows.
+///
+/// Bitwise identical to fused_row_scalar, lane for lane:
+///  * separate _mm256_mul_pd / _mm256_add_pd, never FMA (a fused
+///    multiply-add would skip the intermediate rounding), in the same
+///    ascending-p order;
+///  * the scalar zero-skip `if (av == 0) continue` becomes a mask: the
+///    product is and-ed with `av != 0`, so a skipped term adds +0.0. That
+///    changes nothing because the accumulator is never −0.0: it starts at
+///    +0.0, and a round-to-nearest sum is −0.0 only when both addends are
+///    −0.0. The mask also drops the NaN that 0·Inf or 0·NaN weights would
+///    give, as the skip does. The compare is unordered (_CMP_NEQ_UQ), so a
+///    NaN input keeps its product, as it does in the scalar loop;
+///  * _mm256_max_pd(v, 0) matches `v > 0 ? v : 0` exactly (both return
+///    +0.0 for v == −0.0 and the second operand, 0, for NaN).
+/// Tanh stays scalar libm so transcendentals match the unfused op.
+template <int R, int NV>
+__attribute__((target("avx2"))) void fused_tile_block(const Real* a,
                                                       const Real* wblk,
                                                       const Real* bias,
                                                       Real* cblk, int k,
                                                       int m, FusedAct act) {
-  __m256d acc[NV];
-  for (int u = 0; u < NV; ++u) acc[u] = _mm256_loadu_pd(cblk + 4 * u);
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d acc[R][NV];
+  for (int r = 0; r < R; ++r)
+    for (int u = 0; u < NV; ++u) acc[r][u] = zero;
   for (int p = 0; p < k; ++p) {
-    const Real av = arow[p];
-    if (av == Real(0)) continue;
-    const __m256d vav = _mm256_set1_pd(av);
     const Real* wrow = wblk + static_cast<std::size_t>(p) * m;
-    for (int u = 0; u < NV; ++u)
-      acc[u] = _mm256_add_pd(
-          acc[u], _mm256_mul_pd(vav, _mm256_loadu_pd(wrow + 4 * u)));
+    __m256d wv[NV];
+    for (int u = 0; u < NV; ++u) wv[u] = _mm256_loadu_pd(wrow + 4 * u);
+    for (int r = 0; r < R; ++r) {
+      const __m256d av =
+          _mm256_broadcast_sd(a + static_cast<std::size_t>(r) * k + p);
+      const __m256d live = _mm256_cmp_pd(av, zero, _CMP_NEQ_UQ);
+      for (int u = 0; u < NV; ++u)
+        acc[r][u] = _mm256_add_pd(
+            acc[r][u], _mm256_and_pd(_mm256_mul_pd(av, wv[u]), live));
+    }
   }
-  if (bias != nullptr)
-    for (int u = 0; u < NV; ++u)
-      acc[u] = _mm256_add_pd(acc[u], _mm256_loadu_pd(bias + 4 * u));
-  if (act == FusedAct::ReLU) {
-    const __m256d zero = _mm256_setzero_pd();
-    for (int u = 0; u < NV; ++u) acc[u] = _mm256_max_pd(acc[u], zero);
+  for (int r = 0; r < R; ++r) {
+    Real* crow = cblk + static_cast<std::size_t>(r) * m;
+    for (int u = 0; u < NV; ++u) {
+      __m256d v = acc[r][u];
+      if (bias != nullptr) v = _mm256_add_pd(v, _mm256_loadu_pd(bias + 4 * u));
+      if (act == FusedAct::ReLU) v = _mm256_max_pd(v, zero);
+      _mm256_storeu_pd(crow + 4 * u, v);
+    }
+    if (act == FusedAct::Tanh)
+      for (int u = 0; u < 4 * NV; ++u) crow[u] = std::tanh(crow[u]);
   }
-  for (int u = 0; u < NV; ++u) _mm256_storeu_pd(cblk + 4 * u, acc[u]);
-  if (act == FusedAct::Tanh)
-    for (int u = 0; u < 4 * NV; ++u) cblk[u] = std::tanh(cblk[u]);
 }
 
-/// One fused output row, AVX2 path: widest block first (wider = more
-/// latency-hiding chains and fewer re-scans of arow), then narrower
-/// blocks, then a scalar column tail (e.g. the dim-2 decoder head).
-__attribute__((target("avx2"))) void fused_row_avx2(const Real* arow,
-                                                    const Real* w,
-                                                    const Real* bias,
-                                                    Real* crow, int k, int m,
-                                                    FusedAct act) {
+/// R rows of act(x·W + b), AVX2: 8-column tiles, then one 4-column tile,
+/// then a scalar column tail (e.g. the dim-2 decoder head).
+template <int R>
+__attribute__((target("avx2"))) void fused_tile_avx2(const Real* a,
+                                                     const Real* w,
+                                                     const Real* bias,
+                                                     Real* c, int k, int m,
+                                                     FusedAct act) {
   int j = 0;
-  for (; j + 32 <= m; j += 32)
-    fused_avx2_block<8>(arow, w + j, bias != nullptr ? bias + j : nullptr,
-                        crow + j, k, m, act);
-  for (; j + 16 <= m; j += 16)
-    fused_avx2_block<4>(arow, w + j, bias != nullptr ? bias + j : nullptr,
-                        crow + j, k, m, act);
   for (; j + 8 <= m; j += 8)
-    fused_avx2_block<2>(arow, w + j, bias != nullptr ? bias + j : nullptr,
-                        crow + j, k, m, act);
-  for (; j + 4 <= m; j += 4)
-    fused_avx2_block<1>(arow, w + j, bias != nullptr ? bias + j : nullptr,
-                        crow + j, k, m, act);
+    fused_tile_block<R, 2>(a, w + j, bias != nullptr ? bias + j : nullptr,
+                           c + j, k, m, act);
+  if (j + 4 <= m) {
+    fused_tile_block<R, 1>(a, w + j, bias != nullptr ? bias + j : nullptr,
+                           c + j, k, m, act);
+    j += 4;
+  }
   // Columns past the last multiple of 4: scalar, one accumulator per
-  // column, same op order as above.
+  // column, the zero-skip as a branch, same op order as above.
   for (; j < m; ++j) {
-    Real acc = crow[j];
-    for (int p = 0; p < k; ++p) {
-      const Real av = arow[p];
-      if (av == Real(0)) continue;
-      acc += av * w[static_cast<std::size_t>(p) * m + j];
+    for (int r = 0; r < R; ++r) {
+      const Real* arow = a + static_cast<std::size_t>(r) * k;
+      Real acc = Real(0);
+      for (int p = 0; p < k; ++p) {
+        const Real av = arow[p];
+        if (av == Real(0)) continue;
+        acc += av * w[static_cast<std::size_t>(p) * m + j];
+      }
+      Real v = bias != nullptr ? acc + bias[j] : acc;
+      if (act == FusedAct::ReLU)
+        v = v > 0 ? v : Real(0);
+      else if (act == FusedAct::Tanh)
+        v = std::tanh(v);
+      c[static_cast<std::size_t>(r) * m + j] = v;
     }
-    Real v = bias != nullptr ? acc + bias[j] : acc;
-    if (act == FusedAct::ReLU)
-      v = v > 0 ? v : Real(0);
-    else if (act == FusedAct::Tanh)
-      v = std::tanh(v);
-    crow[j] = v;
   }
 }
 #endif  // GNS_AVX2_KERNELS
 
-/// Fused forward: per output row, gemm accumulation + bias + activation in
-/// one pass (see the row kernels above for the bitwise-identity argument).
+/// Fused forward for linear_act: row tiles of kRowTile in parallel, each
+/// through linear_act_rows. The output needs no zeroing: every kernel
+/// starts its accumulators at +0.0 and overwrites its rows (the +0.0 start
+/// is what makes the AVX2 zero-skip mask bitwise invisible, see
+/// fused_tile_block).
 void fused_linear_fwd(const Real* a, const Real* w, const Real* bias, Real* c,
                       int n, int k, int m, FusedAct act) {
   const std::int64_t work = static_cast<std::int64_t>(n) * k * m;
-#ifdef GNS_AVX2_KERNELS
-  if (simd::cpu_has_avx2()) {
-    exec::parallel_for(n, work > 1 << 16, [&](std::int64_t row) {
-      const int i = static_cast<int>(row);
-      fused_row_avx2(a + static_cast<std::size_t>(i) * k, w, bias,
-                     c + static_cast<std::size_t>(i) * m, k, m, act);
-    });
-    return;
-  }
-#endif
-  exec::parallel_for(n, work > 1 << 16, [&](std::int64_t row) {
-    const int i = static_cast<int>(row);
-    fused_row_scalar(a + static_cast<std::size_t>(i) * k, w, bias,
-                     c + static_cast<std::size_t>(i) * m, k, m, act);
+  const int tiles = (n + kRowTile - 1) / kRowTile;
+  exec::parallel_for(tiles, work > 1 << 16, [&](std::int64_t t) {
+    const int i0 = static_cast<int>(t) * kRowTile;
+    linear_act_rows(a + static_cast<std::size_t>(i0) * k, w, bias,
+                    c + static_cast<std::size_t>(i0) * m,
+                    std::min(kRowTile, n - i0), k, m, act);
   });
 }
 
@@ -219,6 +232,37 @@ Real act_grad_from_output(FusedAct act, Real out) {
 }
 
 }  // namespace
+
+void linear_act_rows(const Real* x, const Real* w, const Real* bias, Real* y,
+                     int n, int k, int m, FusedAct act) {
+#ifdef GNS_AVX2_KERNELS
+  if (simd::cpu_has_avx2()) {
+    int i = 0;
+    for (; i + 4 <= n; i += 4)
+      fused_tile_avx2<4>(x + static_cast<std::size_t>(i) * k, w, bias,
+                         y + static_cast<std::size_t>(i) * m, k, m, act);
+    const Real* xt = x + static_cast<std::size_t>(i) * k;
+    Real* yt = y + static_cast<std::size_t>(i) * m;
+    switch (n - i) {
+      case 3:
+        fused_tile_avx2<3>(xt, w, bias, yt, k, m, act);
+        break;
+      case 2:
+        fused_tile_avx2<2>(xt, w, bias, yt, k, m, act);
+        break;
+      case 1:
+        fused_tile_avx2<1>(xt, w, bias, yt, k, m, act);
+        break;
+      default:
+        break;
+    }
+    return;
+  }
+#endif
+  for (int i = 0; i < n; ++i)
+    fused_row_scalar(x + static_cast<std::size_t>(i) * k, w, bias,
+                     y + static_cast<std::size_t>(i) * m, k, m, act);
+}
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   GNS_TRACE_SCOPE("ad.ops.matmul");

@@ -84,26 +84,22 @@ GnsOutput GnsModel::forward(const ad::Tensor& node_features,
     int round = 0;
     for (const auto& layer : layers_) {
       GNS_TRACE_SCOPE_I("core.gns.round", round++);
-      // Edge update: φ^e(e_k, v_sender, v_receiver) + residual.
-      ad::Tensor vs = ad::gather_rows(v, index.senders);
-      ad::Tensor vr = ad::gather_rows(v, index.receivers);
-      ad::Tensor e_in = ad::concat_cols({e, vs, vr});
-      ad::Tensor e_new = ad::add(layer.edge_mlp.forward(e_in), e);
+      // Edge update: φ^e(e_k, v_sender, v_receiver) + residual. The MLP
+      // reads the gathered endpoint rows in place (ad::MlpInput).
+      const ad::MlpInput e_in{e, {v, index.senders}, {v, index.receivers}};
+      ad::Tensor e_new = layer.edge_mlp.forward_rows(e_in, &e);
 
       // Optional attention: per-receiver softmax over incoming messages.
       ad::Tensor weighted = e_new;
       if (layer.attention_mlp) {
-        ad::Tensor score = layer.attention_mlp->forward(e_in);
+        ad::Tensor score = layer.attention_mlp->forward_rows(e_in);
         ad::Tensor alpha = ad::segment_softmax(score, index.receivers);
         weighted = ad::mul(e_new, alpha);  // [E,L] * [E,1] broadcast
       }
 
       // Node update: φ^v(v_i, Σ incoming messages) + residual.
       ad::Tensor agg = ad::scatter_add_rows(weighted, index.receivers);
-      ad::Tensor v_in = ad::concat_cols({v, agg});
-      ad::Tensor v_new = ad::add(layer.node_mlp.forward(v_in), v);
-
-      v = v_new;
+      v = layer.node_mlp.forward_rows({v, agg}, &v);
       e = e_new;
     }
   }

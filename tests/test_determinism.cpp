@@ -2,9 +2,9 @@
 //
 // Every parallel loop runs on the work-stealing executor with a
 // decomposition fixed by the problem size alone (exec/parallel_for.hpp):
-//  - GNS / autograd: parallel regions are row-local (matmul rows,
-//    layer-norm rows, gather/activation elementwise, scatter_add backward
-//    rows). The cross-row reductions — scatter_add forward and gather
+//  - GNS / autograd: parallel regions are row-local (matmul rows, MLP
+//    row tiles, layer-norm rows, gather/activation elementwise,
+//    scatter_add backward rows). The cross-row reductions — scatter_add forward and gather
 //    backward — run as CSR-transpose per-destination loops that accumulate
 //    contributions in ascending original-index order whichever worker owns
 //    a destination.
@@ -22,12 +22,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "ad/ops.hpp"
 #include "cfd/cfd.hpp"
+#include "core/gns.hpp"
 #include "core/trainer.hpp"
 #include "mpm/scenes.hpp"
 #include "mpm/solver.hpp"
@@ -142,6 +144,74 @@ TEST(Determinism, GatherBackwardCsrBitwise) {
   ASSERT_EQ(grad1.size(), grad8.size());
   for (std::size_t i = 0; i < grad1.size(); ++i)
     EXPECT_EQ(grad1[i], grad8[i]);
+}
+
+// ---------- GNS forward: tape-free pass == taped op chain ----------
+
+std::vector<std::uint64_t> bytes_of(const ad::Tensor& t) {
+  std::vector<std::uint64_t> out;
+  out.reserve(t.vec().size());
+  for (ad::Real v : t.vec()) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+TEST(Determinism, GnsTapeFreeForwardEqualsTaped) {
+  // With the tape off every MLP of the forward runs as one row-tiled
+  // parallel pass (ad::Mlp::forward_rows); with it on, as the op chain
+  // gather_rows -> concat_cols -> linear_act -> layer_norm -> add. Both
+  // must give the same bytes at any worker count. Edge counts include
+  // one edge, counts that are not a multiple of the tile, and counts
+  // large enough for the parallel path.
+  struct Case {
+    const char* name;
+    int latent, hidden, layers, rounds;
+    bool attention;
+    int nodes, edges;
+  };
+  const Case cases[] = {
+      {"fixture widths", 16, 16, 2, 3, false, 600, 2500},
+      {"defaults", 64, 64, 2, 5, false, 120, 700},
+      {"mlp_layers 1", 16, 16, 1, 3, false, 50, 133},
+      {"mlp_layers 3", 16, 16, 3, 3, false, 50, 133},
+      {"attention", 16, 16, 2, 3, true, 300, 1501},
+      {"one edge", 16, 16, 2, 3, true, 2, 1},
+      {"97 edges", 16, 16, 2, 3, false, 40, 97},
+  };
+  for (const Case& c : cases) {
+    core::GnsConfig gc;
+    gc.node_in = 7;
+    gc.edge_in = 3;
+    gc.latent = c.latent;
+    gc.mlp_hidden = c.hidden;
+    gc.mlp_layers = c.layers;
+    gc.message_passing_steps = c.rounds;
+    gc.attention = c.attention;
+    Rng rng(61);
+    const core::GnsModel model(gc, rng);
+    graph::Graph g;
+    g.num_nodes = c.nodes;
+    for (int k = 0; k < c.edges; ++k) {
+      g.senders.push_back(static_cast<int>(rng.uniform_index(c.nodes)));
+      g.receivers.push_back(static_cast<int>(rng.uniform_index(c.nodes)));
+    }
+    auto features = [&rng](int rows, int cols) {
+      std::vector<ad::Real> v(static_cast<std::size_t>(rows) * cols);
+      for (auto& x : v) x = rng.uniform(-1.0, 1.0);
+      return ad::Tensor::from_vector(rows, cols, std::move(v));
+    };
+    const ad::Tensor nodes = features(c.nodes, gc.node_in);
+    const ad::Tensor edges = features(c.edges, gc.edge_in);
+
+    const core::GnsOutput taped = model.forward(nodes, edges, g);
+    ASSERT_TRUE(taped.acceleration.requires_grad()) << c.name;
+    ad::NoGradGuard no_grad;
+    const core::GnsOutput tape_free = model.forward(nodes, edges, g);
+    ASSERT_FALSE(tape_free.acceleration.requires_grad()) << c.name;
+    EXPECT_EQ(bytes_of(tape_free.acceleration), bytes_of(taped.acceleration))
+        << c.name;
+    EXPECT_EQ(bytes_of(tape_free.messages), bytes_of(taped.messages))
+        << c.name;
+  }
 }
 
 // ---------- MPM: rerun-bitwise ----------

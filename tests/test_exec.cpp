@@ -128,7 +128,12 @@ TEST(ExecutorTest, RunsSubmittedTasksFromExternalThreads) {
   std::atomic<int> ran{0};
   for (int i = 0; i < kTasks; ++i)
     ex.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_TRUE(eventually([&ran] { return ran.load() == kTasks; }));
+  // A worker bumps `executed` after the task returns, so wait on the stat
+  // itself: `ran` can reach kTasks while the last count is in flight.
+  EXPECT_TRUE(eventually([&] {
+    return ran.load() == kTasks &&
+           ex.stats().executed >= static_cast<std::uint64_t>(kTasks);
+  }));
   const ExecutorStats stats = ex.stats();
   EXPECT_EQ(stats.workers, 2);
   EXPECT_GE(stats.submitted, static_cast<std::uint64_t>(kTasks));

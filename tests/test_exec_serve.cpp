@@ -165,8 +165,9 @@ TEST_F(ExecServeTest, CancelMidBatchSkipsMemberAndSiblingSurvives) {
 
 // Regression for the submit -> executor handoff bug: a job parked behind
 // a batch-window timer used to slip past cancellation (the timer task
-// dispatched the batch without re-checking flags). The pre-dispatch sweep
-// in dispatch_pending must resolve it as Cancelled, unexecuted.
+// dispatched the batch without re-checking flags). The chain preflight
+// (JobScheduler::preflight, on the chain's first task) must resolve it as
+// Cancelled, unexecuted.
 TEST_F(ExecServeTest, CancelWhileBatchWindowPending) {
   SchedulerConfig cfg;
   cfg.workers = 1;

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "ad/gradcheck.hpp"
 #include "ad/nn.hpp"
@@ -163,21 +166,62 @@ Tensor random_input(int rows, int cols, unsigned seed) {
   return Tensor::from_vector(rows, cols, std::move(data));
 }
 
+/// A tensor's values as raw bit patterns, so comparisons tell −0.0 from
+/// +0.0 and NaN payloads apart.
+std::vector<std::uint64_t> bits(const Tensor& t) {
+  std::vector<std::uint64_t> out;
+  out.reserve(t.vec().size());
+  for (Real v : t.vec()) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
 TEST(FusedLinear, MatchesUnfusedChainBitwise) {
   // The fused kernel replicates matmul -> +bias -> activation's exact FP
   // operation sequence, so forward values must be equal, not just close.
-  Rng rng(40);
-  Linear lin(7, 5, rng);
-  const Tensor x = random_input(9, 7, 41);
-  const Tensor ref_relu = relu(lin.forward(x));
-  const Tensor ref_tanh = tanh_op(lin.forward(x));
-  const Tensor ref_id = lin.forward(x);
-  EXPECT_EQ(linear_act(x, lin.weight(), lin.bias(), FusedAct::ReLU).vec(),
-            ref_relu.vec());
-  EXPECT_EQ(linear_act(x, lin.weight(), lin.bias(), FusedAct::Tanh).vec(),
-            ref_tanh.vec());
-  EXPECT_EQ(linear_act(x, lin.weight(), lin.bias(), FusedAct::Identity).vec(),
-            ref_id.vec());
+  // The shapes hit full 4-row tiles and 1-3 remainder rows, the 8- and
+  // 4-column blocks and the scalar column tail. The inputs carry exact
+  // +0.0 and -0.0 entries, which matmul skips and the AVX2 kernel masks.
+  // In the poisoned variant two input columns are all zero and their
+  // weight rows are +Inf and NaN: the oracle skips those products, so the
+  // output must stay finite.
+  struct Shape {
+    int n, k, m;
+  };
+  for (const Shape s : {Shape{9, 7, 5}, Shape{1, 3, 2}, Shape{5, 16, 16},
+                        Shape{9, 48, 16}, Shape{13, 16, 20},
+                        Shape{7, 16, 2}}) {
+    for (bool poisoned : {false, true}) {
+      Rng rng(40);
+      Linear lin(s.k, s.m, rng);
+      Tensor x = random_input(s.n, s.k, 41);
+      for (int i = 0; i < s.n; ++i) {
+        x.set(i, 2 + i % (s.k - 2), i % 2 == 0 ? Real(0) : -Real(0));
+        if (poisoned) {
+          x.set(i, 0, i % 2 == 0 ? -Real(0) : Real(0));
+          x.set(i, 1, i % 3 == 0 ? -Real(0) : Real(0));
+        }
+      }
+      if (poisoned) {
+        Tensor w = lin.weight();
+        for (int j = 0; j < s.m; ++j) {
+          w.set(0, j, std::numeric_limits<Real>::infinity());
+          w.set(1, j, std::numeric_limits<Real>::quiet_NaN());
+        }
+      }
+      const Tensor ref_id = lin.forward(x);
+      const std::pair<FusedAct, Tensor> cases[] = {
+          {FusedAct::Identity, ref_id},
+          {FusedAct::ReLU, relu(ref_id)},
+          {FusedAct::Tanh, tanh_op(ref_id)}};
+      for (const auto& [act, ref] : cases) {
+        const Tensor fused = linear_act(x, lin.weight(), lin.bias(), act);
+        EXPECT_EQ(bits(fused), bits(ref))
+            << s.n << "x" << s.k << "->" << s.m << " poisoned=" << poisoned
+            << " act=" << static_cast<int>(act);
+        for (Real v : fused.vec()) ASSERT_TRUE(std::isfinite(v));
+      }
+    }
+  }
 }
 
 TEST(FusedLinear, NoBiasVariant) {
@@ -281,6 +325,44 @@ TEST(FusedLinear, MlpForwardMatchesLinearChain) {
 
       EXPECT_EQ(flatten(y, mlp.parameters()), flatten(h, ref_params))
           << "layer_norm=" << layer_norm << " act=" << static_cast<int>(act);
+    }
+  }
+}
+
+TEST(FusedLinear, TapeFreeMlpMatchesTapedBitwise) {
+  // With the tape off, Mlp::forward_rows runs one row-tiled pass; with it
+  // on, the op chain (gather_rows, concat_cols, linear_act, layer_norm,
+  // add). Both must give the same bytes, across depths, activations, the
+  // output LayerNorm, gathered parts, a residual, and row counts around
+  // the tile size.
+  for (int hidden_layers : {0, 1, 2}) {
+    for (bool layer_norm : {false, true}) {
+      for (Activation act : {Activation::ReLU, Activation::Tanh}) {
+        for (int n : {1, 5, 33, 70}) {
+          Rng rng(53);
+          Mlp mlp(13, 16, hidden_layers, 8, rng, layer_norm, act);
+          const Tensor x = random_input(n, 13, 54);
+          const Tensor a = random_input(n, 5, 55);
+          const Tensor v = random_input(9, 8, 56);
+          const Tensor res = random_input(n, 8, 57);
+          std::vector<int> idx(static_cast<std::size_t>(n));
+          for (int i = 0; i < n; ++i) idx[i] = (7 * i + 3) % 9;
+          const IndexMap rows(idx, 9);
+          Tensor taped = mlp.forward(x);
+          Tensor taped_parts = mlp.forward_rows({a, {v, rows}}, &res);
+          ASSERT_TRUE(taped.requires_grad());
+          NoGradGuard no_grad;
+          const std::string where = "layers=" + std::to_string(hidden_layers) +
+                                    " norm=" + std::to_string(layer_norm) +
+                                    " act=" +
+                                    std::to_string(static_cast<int>(act)) +
+                                    " n=" + std::to_string(n);
+          EXPECT_EQ(bits(mlp.forward(x)), bits(taped)) << where;
+          EXPECT_EQ(bits(mlp.forward_rows({a, {v, rows}}, &res)),
+                    bits(taped_parts))
+              << where;
+        }
+      }
     }
   }
 }
