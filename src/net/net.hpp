@@ -8,13 +8,15 @@
 ///
 ///   protocol — length-prefixed binary frames ("GNS1" magic, versioned),
 ///              strict bounds-checked decoding, typed transport errors;
-///   Server   — poll()-based acceptor + handler threads, nonblocking
-///              sockets, bounded in-flight caps (Busy backpressure),
-///              deadline propagation, graceful drain on stop();
+///   Server   — executor-driven, no threads of its own (on the
+///              connection engine, conn_engine.hpp), bounded in-flight
+///              caps (Busy backpressure), deadline propagation, graceful
+///              drain on stop();
 ///   Client   — blocking request/stream-response with Busy retry/backoff,
 ///              automatic trace-id generation, and a stats() scrape;
 ///   socket   — the one socket layer under all of them (and the router):
-///              listen_tcp, FrameBuffer, and the blocking FrameConn.
+///              listen_tcp, connect_tcp, FrameBuffer, and the blocking
+///              FrameConn.
 ///
 /// Protocol v2 adds end-to-end observability: requests carry a 64-bit
 /// trace_id that is stamped on every span of their server-side life,

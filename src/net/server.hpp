@@ -3,17 +3,15 @@
 /// \file server.hpp
 /// TCP front-end of the rollout serving subsystem.
 ///
-/// Threading model: the server owns no threads. The listening socket and every accepted connection are registered with
-/// an exec::IoBridge, whose poller turns readiness events into tasks on
-/// the global work-stealing executor — the same pool that runs the
-/// scheduler's rollout chains and the per-step compute, so net I/O shares
-/// cores with compute instead of pinning threads of its own. Each
-/// connection is serviced by at most one task at a time (oneshot watches
-/// plus a per-connection mutex); while requests are in flight or writes
-/// are queued, a short executor pump timer re-services the connection
-/// between socket events. Reads append to a per-connection buffer, complete frames are decoded and submitted to the
-/// serve::JobScheduler, resolved futures are encoded into a per-connection
-/// write queue, and writes drain on POLLOUT.
+/// Threading model: the server owns no threads. It runs on the wire's one
+/// connection engine (net/conn_engine.hpp), which accepts through an
+/// exec::IoBridge and services every connection as tasks on the global
+/// work-stealing executor — the same pool that runs the scheduler's
+/// rollout chains and the per-step compute. The engine reads, decodes,
+/// flushes and enforces the idle and read deadlines (armed from accept);
+/// the server submits each decoded request to the serve::JobScheduler and
+/// finds resolved futures with a per-connection pump timer (2 ms while
+/// work is pending, 50 ms otherwise), encoding them into the write queue.
 ///
 /// Backpressure is explicit and bounded everywhere: a request beyond the
 /// per-connection or global in-flight cap — or one the scheduler rejects
@@ -41,22 +39,15 @@
 /// (GNS_TRACE_FILE / GNS_METRICS_FILE) are flushed. No accepted job is
 /// ever dropped by a drain.
 
-#include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
-#include "exec/executor.hpp"
-#include "exec/io_bridge.hpp"
+#include "net/conn_engine.hpp"
 #include "net/protocol.hpp"
-#include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "serve/scheduler.hpp"
 
@@ -90,18 +81,17 @@ struct ServerConfig {
 
 /// TCP server bridging the wire protocol onto a JobScheduler. The
 /// scheduler (and its registry) must outlive the server.
-class Server {
+class Server : private ConnHandler {
  public:
   Server(serve::JobScheduler& scheduler, ServerConfig config = {});
   /// Calls stop() if still running.
-  ~Server();
+  ~Server() override;
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and registers the listener with the executor's I/O
-  /// bridge. Returns false (with the OS error logged) when the socket
-  /// setup fails.
+  /// Binds, listens, and starts the connection engine. Returns false (with
+  /// the OS error logged) when the socket setup fails.
   [[nodiscard]] bool start();
 
   /// Graceful drain: stop accepting, fail new requests with ShuttingDown,
@@ -115,12 +105,10 @@ class Server {
   }
   /// The bound port (resolves port=0 to the ephemeral choice); 0 before
   /// start().
-  [[nodiscard]] int port() const { return port_; }
-  [[nodiscard]] int active_connections() const;
+  [[nodiscard]] int port() const { return engine_.port(); }
+  [[nodiscard]] int active_connections() const { return engine_.active(); }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   /// One submitted request whose future has not resolved yet.
   struct Pending {
     std::uint64_t request_id = 0;       ///< wire id, echoed in replies
@@ -132,123 +120,62 @@ class Server {
     std::uint8_t version = kProtocolVersion;
   };
 
-  /// One encoded frame awaiting its turn on the socket. The terminal frame
-  /// of a request (StatusReply/ErrorReply) is tagged so flush_writes can
-  /// attribute the write/flush phase to that request once the bytes leave.
-  struct WriteItem {
-    std::vector<std::uint8_t> bytes;
-    bool terminal = false;
-    std::uint64_t trace_id = 0;
-    std::int64_t enqueued_ns = 0;  ///< obs::trace_now_ns() at enqueue
-  };
+  /// A connection plus its in-flight requests and pump timer. Defined in
+  /// server.cpp.
+  struct ServerConn;
 
-  struct Connection {
-    // Explicitly move-only: std::deque's move ctor is not noexcept in
-    // libstdc++, so without a deleted copy ctor vector reallocation would
-    // try to copy the (move-only) futures and fail to compile.
-    Connection() = default;
-    Connection(Connection&&) = default;
-    Connection& operator=(Connection&&) = default;
-    Connection(const Connection&) = delete;
-    Connection& operator=(const Connection&) = delete;
+  // ConnHandler: what the engine asks of the server.
+  std::shared_ptr<Conn> make_conn() override;
+  void on_frame(Conn& conn, const FrameView& frame,
+                double buffered_ms) override;
+  bool busy(const Conn& conn) const override;
+  /// Moves resolved futures into the write queue.
+  Clock::time_point pump(Conn& conn) override;
+  /// Arms the pump timer: futures are poll-checked, so a connection with
+  /// work pending gets a 2 ms tick and an idle one a 50 ms tick.
+  void serviced(Conn& conn) override;
+  /// Cancels what the scheduler has not started and releases the slots.
+  void on_close(Conn& conn) override;
+  /// Charges the flush to the request's write phase.
+  void on_sent(const WriteItem& item) override;
 
-    int fd = -1;
-    FrameBuffer rbuf;
-    std::deque<WriteItem> wqueue;
-    std::size_t woff = 0;  ///< bytes of wqueue.front() already written
-    /// Version of the last well-framed frame from this peer; error replies
-    /// sent before any request decodes use it (defaults to current).
-    std::uint8_t peer_version = kProtocolVersion;
-    std::vector<Pending> inflight;
-    Clock::time_point last_activity;
-    Clock::time_point partial_since;  ///< first byte of an incomplete frame
-    bool has_partial = false;
-    bool close_after_flush = false;  ///< fatal decode error: drop politely
-  };
-
-  /// One live connection: the Connection state plus the bridge watch and
-  /// pump timer that drive it. Defined in server.cpp.
-  struct ExecConn;
-
-  /// Listener watch callback: accepts everything ready, registers each
-  /// connection with the bridge, then re-arms the listener.
-  void exec_accept(short revents);
-  /// One service pass over a connection (read/decode/submit, pump resolved
-  /// futures, flush writes, timeouts), run as an executor task. At most
-  /// one runs per connection at a time (oneshot watch + ec->m).
-  void exec_service(const std::shared_ptr<ExecConn>& ec, short revents);
-  /// stop() body: unwatch the listener, drain-wait, close every
-  /// connection, stop the bridge, quiesce pump timers.
-  void exec_stop();
-  /// Reads what the socket holds into rbuf; false when the peer closed or
-  /// errored.
-  bool read_some(Connection& conn);
-  /// Decodes and dispatches every complete frame in rbuf.
-  void process_rbuf(Connection& conn);
-  /// `buffered_ms` is how long the frame straddled reads in rbuf — it is
-  /// charged against the request's deadline before submit.
-  void handle_request(Connection& conn, const FrameView& frame,
+  /// `buffered_ms` is how long the frame straddled reads — it is charged
+  /// against the request's deadline before submit.
+  void handle_request(ServerConn& conn, const FrameView& frame,
                       double buffered_ms);
   /// Answers a kStatsRequest with a metrics + health snapshot. Runs in the
   /// connection's service task; touches only atomics, the scheduler's
   /// queue-depth accessor, and the metrics registry.
-  void handle_stats(Connection& conn, const FrameView& frame);
+  void handle_stats(Conn& conn, const FrameView& frame);
   /// Answers a kHello with this backend's capability advertisement
   /// (protocol version, registry model names, in-flight capacity). Runs in
   /// the connection's service task, like handle_stats.
-  void handle_hello(Connection& conn, const FrameView& frame);
-  /// Moves resolved futures into the write queue; returns in-flight count.
-  std::size_t pump_completions(Connection& conn);
+  void handle_hello(Conn& conn, const FrameView& frame);
   /// Streams one resolved result as RolloutChunks + a StatusReply.
-  void enqueue_result(Connection& conn, const Pending& pending,
+  void enqueue_result(Conn& conn, const Pending& pending,
                       const serve::RolloutResult& result);
-  void enqueue_error(Connection& conn, std::uint64_t request_id,
-                     NetError code, const std::string& message);
-  /// Writes wqueue to the socket; false when the peer errored.
-  bool flush_writes(Connection& conn);
-  void close_connection(Connection& conn);
 
   serve::JobScheduler& scheduler_;
   ServerConfig config_;
 
-  int listen_fd_ = -1;
-  int port_ = 0;
   Clock::time_point started_{};  ///< start() time, for StatsReply uptime
   std::atomic<bool> running_{false};
-  std::atomic<bool> draining_{false};
   std::atomic<int> global_inflight_{0};
-  std::atomic<int> active_connections_{0};
   std::once_flag stop_once_;
+  /// Armed or firing pump timers; stop() waits for 0 so no timer callback
+  /// outlives the server.
+  std::atomic<int> pump_pending_{0};
 
-  // net.* instruments (cached handles; registry owns them).
-  obs::Counter& accepted_;
-  obs::Counter& frames_rx_;
-  obs::Counter& frames_tx_;
-  obs::Counter& bytes_rx_;
-  obs::Counter& bytes_tx_;
-  obs::Counter& rejected_backpressure_;
+  // net.* instruments the engine does not keep (cached handles; the
+  // registry owns them, so decode_errors_ is the engine's counter too).
   obs::Counter& decode_errors_;
-  obs::Counter& timeouts_;
+  obs::Counter& rejected_backpressure_;
   obs::Counter& stats_requests_;
-  obs::Gauge& active_connections_gauge_;
   obs::Gauge& inflight_gauge_;
   obs::Gauge& queue_depth_gauge_;
   obs::HistogramMetric& request_ms_;
-  /// Per-NetError rejection counters (`<prefix>.reject.<code>`), indexed
-  /// by the numeric NetError value; [0] is unused.
-  std::array<obs::Counter*, 10> reject_counters_{};
 
-  // ---- executor plumbing ----
-  std::unique_ptr<exec::IoBridge> bridge_;
-  int listen_watch_ = -1;
-  /// Guards econns_ and listen_watch_. Lock order: NEVER acquire
-  /// econns_mutex_ while holding an ExecConn's mutex (release ec->m first).
-  std::mutex econns_mutex_;
-  std::map<std::uint64_t, std::shared_ptr<ExecConn>> econns_;
-  std::uint64_t next_econn_ = 1;
-  /// Armed or firing pump timers; stop() waits for 0 so no timer callback
-  /// outlives the server (bridge_->stop covers watch callbacks only).
-  std::atomic<int> exec_pending_{0};
+  ConnEngine engine_;  ///< declared last, so destroyed first
 };
 
 }  // namespace gns::net

@@ -15,6 +15,8 @@
 #include <chrono>
 #include <cstring>
 
+#include "util/timer.hpp"
+
 namespace gns::net {
 
 namespace {
@@ -26,11 +28,6 @@ using Clock = std::chrono::steady_clock;
 constexpr std::size_t kReadChunkBytes = 64 * 1024;
 /// Compact the buffer once this many decoded bytes sit at its front.
 constexpr std::size_t kCompactThreshold = 256 * 1024;
-
-double ms_until(Clock::time_point deadline) {
-  return std::chrono::duration<double, std::milli>(deadline - Clock::now())
-      .count();
-}
 
 }  // namespace
 
@@ -60,6 +57,37 @@ int listen_tcp(const std::string& host, int port, int& bound_port) {
     return -1;
   }
   bound_port = ntohs(bound.sin_port);
+  return fd;
+}
+
+int connect_tcp(const std::string& host, int port, int& error) {
+  error = 0;
+  addrinfo hints{};
+  hints.ai_family = AF_INET;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* results = nullptr;
+  if (::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints,
+                    &results) != 0)
+    return -1;  // unresolvable host: not a syscall failure, errno 0
+  int fd = -1;
+  for (addrinfo* ai = results; ai != nullptr && fd < 0; ai = ai->ai_next) {
+    const int s = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+    if (s < 0) {
+      error = errno;
+      continue;
+    }
+    set_nodelay(s);
+    if (set_nonblocking(s) &&
+        (::connect(s, ai->ai_addr, ai->ai_addrlen) == 0 ||
+         errno == EINPROGRESS)) {
+      fd = s;
+      error = 0;
+    } else {
+      error = errno;  // kept before close() can clobber it
+      ::close(s);
+    }
+  }
+  ::freeaddrinfo(results);
   return fd;
 }
 
@@ -154,34 +182,32 @@ FrameConn::~FrameConn() { close(); }
 bool FrameConn::connect(const std::string& host, int port,
                         double timeout_ms) {
   close();
-  connect_errno_ = 0;
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* results = nullptr;
-  if (::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints,
-                    &results) != 0)
-    return false;  // unresolvable host: not a syscall failure, errno 0
-  for (addrinfo* ai = results; ai != nullptr && fd_ < 0; ai = ai->ai_next) {
-    const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) {
-      connect_errno_ = errno;
-      continue;
-    }
-    set_send_timeout(fd, timeout_ms);
-    set_nodelay(fd);
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
-      fd_ = fd;
-      connect_errno_ = 0;
-    } else {
-      // Kept before close() can clobber it: callers retry on ECONNREFUSED
-      // and ECONNRESET only.
-      connect_errno_ = errno;
-      ::close(fd);
-    }
+  const int fd = connect_tcp(host, port, connect_errno_);
+  if (fd < 0) return false;
+  pollfd pfd{fd, POLLOUT, 0};
+  const int wait_ms = timeout_ms > 0.0 ? static_cast<int>(timeout_ms) + 1 : -1;
+  int rc;
+  while ((rc = ::poll(&pfd, 1, wait_ms)) < 0 && errno == EINTR) {
   }
-  ::freeaddrinfo(results);
-  return fd_ >= 0;
+  socklen_t len = sizeof(connect_errno_);
+  if (rc <= 0) {
+    connect_errno_ = rc == 0 ? ETIMEDOUT : errno;
+  } else if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &connect_errno_, &len) !=
+             0) {
+    connect_errno_ = errno;
+  }
+  // Callers retry on ECONNREFUSED and ECONNRESET only, so the errno is
+  // kept as the peer reported it.
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (connect_errno_ != 0 || flags < 0 ||
+      ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) != 0) {
+    if (connect_errno_ == 0) connect_errno_ = errno;
+    ::close(fd);
+    return false;
+  }
+  set_send_timeout(fd, timeout_ms);
+  fd_ = fd;
+  return true;
 }
 
 void FrameConn::close() {
@@ -200,9 +226,7 @@ FrameConn::ReadStatus FrameConn::read_frame(FrameView& frame,
                                             std::string& error,
                                             double timeout_ms) {
   const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             std::max(0.0, timeout_ms)));
+      after_ms(Clock::now(), std::max(0.0, timeout_ms));
   for (;;) {
     DecodeError decode_error;
     const DecodeStatus status = buf_.next(frame, decode_error);
@@ -214,7 +238,7 @@ FrameConn::ReadStatus FrameConn::read_frame(FrameView& frame,
 
     int wait_ms = 1000;
     if (timeout_ms > 0.0) {
-      const double remaining = ms_until(deadline);
+      const double remaining = ms_since(Clock::now(), deadline);
       if (remaining <= 0.0) {
         error = "no reply frame within " +
                 std::to_string(static_cast<long>(timeout_ms)) + " ms";

@@ -8,12 +8,14 @@
 ///   FrameBuffer — a receive buffer with a consumed offset: recv() lands
 ///                 straight in it, the next frame decodes in place, and the
 ///                 decoded prefix is compacted lazily;
+///   connect_tcp — fresh-resolve nonblocking connect;
 ///   FrameConn   — one blocking client connection over a FrameBuffer:
-///                 fresh-resolve connect, whole-frame send, and a framed
-///                 read with a poll deadline.
+///                 bounded connect, whole-frame send, and a framed read with
+///                 a poll deadline.
 ///
-/// net::Client and the router's backend connections are FrameConns; the
-/// server's and router's accepted connections read through FrameBuffers.
+/// net::Client is a FrameConn. The connection engine (conn_engine.hpp)
+/// reads the server's and router's accepted connections, and the router's
+/// backend links, through FrameBuffers.
 
 #include <sys/types.h>
 
@@ -32,6 +34,13 @@ namespace gns::net {
 [[nodiscard]] int listen_tcp(const std::string& host, int port,
                              int& bound_port);
 
+/// Resolves host:port afresh (never a cached lookup: a peer restarted
+/// behind the same name must be reached by the very next attempt) and
+/// starts a nonblocking connect, TCP_NODELAY on. Returns the fd (the
+/// connect may still be in progress: wait for POLLOUT, then read
+/// SO_ERROR), or -1 with `error` set to the failing syscall's errno (0 when
+/// the host did not resolve).
+[[nodiscard]] int connect_tcp(const std::string& host, int port, int& error);
 /// O_NONBLOCK on; false when fcntl fails.
 [[nodiscard]] bool set_nonblocking(int fd);
 /// TCP_NODELAY on: frames are written whole, so Nagle only adds latency.
@@ -80,11 +89,10 @@ class FrameConn {
   FrameConn(const FrameConn&) = delete;
   FrameConn& operator=(const FrameConn&) = delete;
 
-  /// Closes any current connection, resolves host:port afresh (never a
-  /// cached lookup: a peer restarted behind the same name must be reached
-  /// by the very next attempt) and connects. timeout_ms bounds the connect
-  /// and every later send. On failure connect_errno() keeps the failing
-  /// syscall's errno (0 when the host did not resolve).
+  /// Closes any current connection and connects afresh (connect_tcp).
+  /// timeout_ms bounds the connect and every later send. On failure
+  /// connect_errno() keeps the failing errno (0 when the host did not
+  /// resolve).
   [[nodiscard]] bool connect(const std::string& host, int port,
                              double timeout_ms);
   [[nodiscard]] bool connected() const { return fd_ >= 0; }

@@ -5,22 +5,26 @@
 ///
 /// A Backend owns three things:
 ///  - its capability record, learned from the v3 HELLO handshake the first
-///    time a connection comes up (protocol version, served models,
-///    in-flight capacity). A pre-v3 backend answers the HELLO with a fatal
+///    time a link comes up (protocol version, served models, in-flight
+///    capacity). A pre-v3 backend answers the HELLO with a fatal
 ///    BadVersion error encoded in its own version; the handshake reads
-///    that version byte, reconnects, and falls back to conservative
-///    defaults (legacy_capacity slots, wildcard model match) — so an old
-///    binary is still usable, just never preferred;
-///  - a pool of idle connections (blocking net::FrameConns, exclusively
-///    checked out) so concurrent proxied requests each get their own
-///    connection without a per-request TCP + HELLO round trip;
+///    that version byte and falls back to conservative defaults
+///    (legacy_capacity slots, wildcard model match), and the owner opens a
+///    fresh link without a HELLO — so an old binary is still usable, just
+///    never preferred;
+///  - a pool of idle links (nonblocking, exclusively checked out) so
+///    concurrent proxied requests each get their own connection without a
+///    per-request TCP + HELLO round trip;
 ///  - its health state: Healthy until an I/O failure or probe timeout
 ///    evicts it, then Evicted with an exponentially growing re-admission
 ///    backoff until a probe handshake succeeds again.
 ///
-/// Thread safety: every public method is safe to call from any router
-/// thread. A checked-out connection is exclusively owned by its caller and
-/// is NOT thread-safe itself.
+/// Links never block: connect, HELLO, writes and reads advance one step
+/// per readiness event of the link's socket (advance()), on the router's
+/// executor. Every public method of Backend is thread-safe; a checked-out
+/// Link is owned by one proxied request or probe and is not.
+
+#include <poll.h>
 
 #include <atomic>
 #include <chrono>
@@ -30,8 +34,8 @@
 #include <string>
 #include <vector>
 
+#include "net/conn_engine.hpp"
 #include "net/protocol.hpp"
-#include "net/socket.hpp"
 
 namespace gns::router {
 
@@ -49,8 +53,10 @@ struct BackendAddress {
 struct BackendTuning {
   double connect_timeout_ms = 2000.0;  ///< per TCP connect attempt
   double hello_timeout_ms = 2000.0;    ///< handshake reply deadline
-  /// Per-frame read deadline while proxying a rollout. Generous: a cold
-  /// backend may legitimately compute for a long time before chunk one.
+  /// Per-frame read deadline while proxying a rollout, and how long a
+  /// client may leave its stream unread before it is closed. Generous: a
+  /// cold backend may legitimately compute for a long time before chunk
+  /// one.
   double io_timeout_ms = 120'000.0;
   /// In-flight slots granted to a pre-v3 backend that cannot advertise
   /// its capacity. Deliberately small: old binaries get correctness, new
@@ -78,17 +84,41 @@ enum class BackendHealth : std::uint8_t {
   Evicted,
 };
 
-[[nodiscard]] inline const char* to_string(BackendHealth h) {
-  switch (h) {
-    case BackendHealth::Unknown: return "unknown";
-    case BackendHealth::Healthy: return "healthy";
-    case BackendHealth::Evicted: return "evicted";
+/// One nonblocking connection to a backend.
+struct Link {
+  enum class Stage : std::uint8_t {
+    Connecting,  ///< TCP connect in flight
+    Hello,       ///< HELLO sent, its reply awaited
+    Open,        ///< ready for requests
+  };
+
+  [[nodiscard]] short events() const {  ///< what the watch waits for
+    if (stage == Stage::Connecting) return POLLOUT;
+    return static_cast<short>(POLLIN | (ch.wqueue.empty() ? 0 : POLLOUT));
   }
-  return "?";
-}
+
+  net::Channel ch;
+  Stage stage = Stage::Connecting;
+  std::uint64_t next_request_id = 1;  ///< the wire scopes ids per connection
+  /// The current step fails once this passes: the connect or HELLO
+  /// timeout, or the owner's reply deadline once Open.
+  std::chrono::steady_clock::time_point deadline{};
+  int watch = -1;  ///< the owner's bridge watch; -1 when none
+  /// A new socket since the owner last watched: it must watch afresh.
+  bool reconnected = false;
+  bool pooled = false;  ///< from the pool: the next advance() says Ready
+};
 
 class Backend {
  public:
+  /// What advance() made of a link's readiness.
+  enum class Io {
+    Wait,    ///< nothing more until the next event or the deadline
+    Ready,   ///< the link is Open and idle: send a request
+    Frame,   ///< a reply frame arrived
+    Failed,  ///< socket error, bad handshake or deadline; `error` says why
+  };
+
   Backend(BackendAddress address, BackendTuning tuning);
 
   [[nodiscard]] const BackendAddress& address() const { return address_; }
@@ -96,14 +126,23 @@ class Backend {
     return address_.host + ":" + std::to_string(address_.port);
   }
 
-  /// Checks out an exclusive connection: an idle pooled one, or a fresh
-  /// connect (+ HELLO handshake when capabilities are not yet known).
-  /// nullptr with `error` set on failure — the caller decides whether that
-  /// evicts. Never blocks longer than connect+hello timeouts.
-  [[nodiscard]] std::unique_ptr<net::FrameConn> checkout(std::string& error);
-  /// Returns a connection that is still in a clean frame boundary (a
-  /// half-read stream must be closed instead, not checked in).
-  void checkin(std::unique_ptr<net::FrameConn> conn);
+  /// An idle pooled link (Open), or a fresh one whose connect is under
+  /// way (a HELLO follows unless the peer is known pre-v3). nullptr with
+  /// `error` set when the connect fails at once — the caller decides
+  /// whether that evicts.
+  [[nodiscard]] std::unique_ptr<Link> checkout(std::string& error);
+  /// Always a fresh link, as checkout() makes when the pool is empty.
+  [[nodiscard]] std::unique_ptr<Link> connect(std::string& error);
+  /// Returns an unwatched link to the pool; one not at a clean frame
+  /// boundary is closed instead.
+  void checkin(std::unique_ptr<Link> link);
+  /// Drives `link` after `revents` (0 for none): completes its connect,
+  /// runs the HELLO (reconnecting without one to a pre-v3 peer, which
+  /// closes on it), writes what is queued and reads. Ready comes once per
+  /// checkout, when the link can take a request; a Frame borrows the
+  /// link's buffer until the next call.
+  [[nodiscard]] Io advance(Link& link, short revents, net::FrameView& frame,
+                           std::string& error);
 
   [[nodiscard]] BackendCapabilities capabilities() const;
   /// Least-in-flight placement asks this: does the backend serve `model`?
@@ -129,15 +168,16 @@ class Backend {
   /// I/O failure or probe timeout: close the idle pool, extend the
   /// re-admission backoff.
   void evict();
-  /// Evicted and past the backoff deadline — the probe loop should try a
+  /// Evicted and past the backoff deadline — a probe should try a
   /// re-admission handshake now.
   [[nodiscard]] bool readmit_due() const;
 
  private:
-  /// HELLO on a fresh connection; fills caps under mutex_. On a legacy
-  /// BadVersion answer, reconnects (the peer closed) without a hello.
-  [[nodiscard]] bool handshake(std::unique_ptr<net::FrameConn>& conn,
-                               std::string& error);
+  /// (Re)connects `link` from scratch, nonblocking.
+  [[nodiscard]] bool connect(Link& link, std::string& error);
+  /// The HELLO's answer: capabilities, or the legacy fallback.
+  [[nodiscard]] Io handshake(Link& link, const net::FrameView& frame,
+                             std::string& error);
 
   const BackendAddress address_;
   const BackendTuning tuning_;
@@ -148,7 +188,7 @@ class Backend {
   BackendHealth health_ = BackendHealth::Unknown;
   double backoff_ms_;
   std::chrono::steady_clock::time_point evicted_until_{};
-  std::vector<std::unique_ptr<net::FrameConn>> idle_;
+  std::vector<std::unique_ptr<Link>> idle_;
 
   std::atomic<int> inflight_{0};
 };

@@ -1,86 +1,112 @@
 #include "router/router.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <set>
+#include <thread>
+#include <utility>
 
-#include "net/socket.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
+#include "util/timer.hpp"
 
 namespace gns::router {
 
 namespace {
 
-/// How long an idle session lingers once a drain begins. A client racing
-/// the drain gets a typed ShuttingDown (same as against a draining
-/// server) instead of a silent close; after the grace the session exits
-/// so the drain itself stays fast.
-constexpr double kDrainLingerMs = 250.0;
+using Clock = std::chrono::steady_clock;
 
-double ms_since(std::chrono::steady_clock::time_point then,
-                std::chrono::steady_clock::time_point now) {
-  return std::chrono::duration<double, std::milli>(now - then).count();
+obs::Counter& counter(const std::string& prefix, const char* name) {
+  return obs::MetricsRegistry::global().counter(prefix + name);
 }
 
 }  // namespace
 
+/// Replies use the conn's peer_version: nothing else decodes meanwhile.
+struct Router::Proxy {
+  std::uint64_t client_id = 0;
+  serve::RolloutRequest request;
+  std::int64_t start_ns = 0;  ///< for the router.proxy span
+  std::vector<Backend*> tried;
+  PickOutcome outcome = PickOutcome::AllDown;
+  bool saw_busy = false;
+  bool saw_failure = false;
+  bool saw_incapable = false;
+  // The current attempt.
+  Backend* backend = nullptr;
+  std::unique_ptr<Link> link;
+  std::uint64_t backend_id = 0;  ///< 0 until the request is forwarded
+  bool streamed = false;         ///< a chunk reached the client
+  /// The reply deadline restarts at the next wait: set by each forwarded
+  /// request or frame, which a stalled client may hold back for a while.
+  bool restart_deadline = false;
+  std::uint64_t serial = 0;  ///< of the link's current watch
+  short revents = 0;         ///< link events not yet handled
+};
+
+struct Router::ClientConn : net::Conn {
+  std::unique_ptr<Proxy> proxy;
+};
+
+struct Router::Probe {
+  std::mutex m;
+  std::unique_ptr<Link> link;  ///< set while a probe is in flight
+  Clock::time_point deadline{};
+  std::uint64_t serial = 0;
+};
+
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
-      requests_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".requests")),
-      retries_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".retries")),
-      failovers_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".failovers")),
-      evictions_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".evictions")),
-      readmissions_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".readmissions")),
-      backend_lost_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".backend_lost")),
-      busy_rejected_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".busy_rejected")),
-      probes_(obs::MetricsRegistry::global().counter(
-          config_.metrics_prefix + ".probes")),
+      requests_(counter(config_.metrics_prefix, ".requests")),
+      retries_(counter(config_.metrics_prefix, ".retries")),
+      failovers_(counter(config_.metrics_prefix, ".failovers")),
+      evictions_(counter(config_.metrics_prefix, ".evictions")),
+      readmissions_(counter(config_.metrics_prefix, ".readmissions")),
+      backend_lost_(counter(config_.metrics_prefix, ".backend_lost")),
+      busy_rejected_(counter(config_.metrics_prefix, ".busy_rejected")),
+      probes_made_(counter(config_.metrics_prefix, ".probes")),
       backends_healthy_(obs::MetricsRegistry::global().gauge(
           config_.metrics_prefix + ".backends_healthy")),
       inflight_gauge_(obs::MetricsRegistry::global().gauge(
           config_.metrics_prefix + ".inflight")),
-      active_clients_gauge_(obs::MetricsRegistry::global().gauge(
-          config_.metrics_prefix + ".active_connections")) {
+      engine_(*this, net::ConnLimits{config_.max_connections,
+                                     config_.client_idle_timeout_ms,
+                                     /*read_timeout_ms=*/0.0,
+                                     config_.tuning.io_timeout_ms,
+                                     config_.drain_timeout_ms,
+                                     net::kProtocolVersion,
+                                     config_.metrics_prefix}) {
   GNS_CHECK_MSG(!config_.backends.empty(),
                 "Router needs at least one backend address");
-  for (const BackendAddress& address : config_.backends)
+  for (const BackendAddress& address : config_.backends) {
     backends_.push_back(std::make_unique<Backend>(address, config_.tuning));
+    probes_.push_back(std::make_unique<Probe>());
+  }
 }
 
 Router::~Router() { stop(); }
 
 bool Router::start() {
   GNS_CHECK_MSG(!running_.load(), "Router::start called twice");
-
-  listen_fd_ = net::listen_tcp(config_.host, config_.port, port_);
-  if (listen_fd_ < 0) {
+  started_ = Clock::now();  // before the first connection can read it
+  if (!engine_.start(config_.host, config_.port)) {
     GNS_ERROR("router: listen on " << config_.host << ":" << config_.port
                                    << " failed: " << std::strerror(errno));
     return false;
   }
-
-  started_ = Clock::now();
-  draining_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  acceptor_ = std::thread([this] { accept_loop(); });
-  prober_ = std::thread([this] { probe_loop(); });
+  // First sweep a full interval after start: placement is optimistic about
+  // un-probed backends anyway, and a quiet startup keeps tests (and
+  // operators' logs) deterministic.
+  {
+    std::lock_guard<std::mutex> lock(sweep_mutex_);
+    schedule_sweep();
+  }
   GNS_INFO("router: fronting " << backends_.size() << " backends on "
-                               << config_.host << ":" << port_);
+                               << config_.host << ":" << port());
   return true;
 }
 
@@ -88,41 +114,10 @@ void Router::stop() {
   std::call_once(stop_once_, [this] {
     if (!running_.load(std::memory_order_acquire)) return;
     GNS_INFO("router: draining (stop admitting, finish proxied streams)");
-    draining_.store(true, std::memory_order_release);
-    // 1. Stop accepting.
-    if (acceptor_.joinable()) acceptor_.join();
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    // 2. Sessions observe draining_, answer queued requests with
-    //    ShuttingDown, finish the stream they are proxying, then exit.
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               config_.drain_timeout_ms));
-    while (active_clients_.load(std::memory_order_acquire) > 0 &&
-           Clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    {
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      if (active_clients_.load(std::memory_order_acquire) > 0) {
-        GNS_WARN("router: drain timeout, severing "
-                 << active_clients_.load() << " client connections");
-        for (const Session& session : sessions_) {
-          const int fd = session.fd.load(std::memory_order_acquire);
-          if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-        }
-      }
-    }
-    if (prober_.joinable()) prober_.join();
-    {
-      // The acceptor is joined, so nothing adds sessions any more.
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      for (Session& session : sessions_) session.thread.join();
-      sessions_.clear();
-    }
+    stop_probes();
+    // Proxied streams finish; a client that asks meanwhile gets a typed
+    // ShuttingDown, as from a draining server.
+    engine_.stop();
     running_.store(false, std::memory_order_release);
     obs::flush_env_files();
     GNS_INFO("router: drained and stopped");
@@ -143,351 +138,377 @@ std::vector<BackendSnapshot> Router::snapshot() const {
   return out;
 }
 
-void Router::accept_loop() {
-  while (!draining_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (rc < 0 && errno != EINTR) break;
-    if (rc <= 0 || !(pfd.revents & POLLIN)) continue;
-    for (;;) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) break;
-      if (active_clients_.load(std::memory_order_relaxed) >=
-          config_.max_connections) {
-        ::close(fd);
-        continue;
-      }
-      net::set_nodelay(fd);
-      // Sends to the client are blocking; bound them so a dead peer cannot
-      // wedge a session thread forever.
-      net::set_send_timeout(fd, config_.tuning.io_timeout_ms);
-      active_clients_.fetch_add(1, std::memory_order_relaxed);
-      active_clients_gauge_.set(
-          active_clients_.load(std::memory_order_relaxed));
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      // Join the sessions that have ended: an unjoined thread keeps its
-      // stack mapped, so without this every closed connection leaks one.
-      for (auto it = sessions_.begin(); it != sessions_.end();) {
-        if (it->finished.load(std::memory_order_acquire)) {
-          it->thread.join();
-          it = sessions_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      Session& session = sessions_.emplace_back();
-      session.fd.store(fd, std::memory_order_release);
-      session.thread = std::thread([this, &session] { serve_client(session); });
-    }
-  }
+// ---- Client connections ----------------------------------------------------
+
+std::shared_ptr<net::Conn> Router::make_conn() {
+  return std::make_shared<ClientConn>();
 }
 
-void Router::serve_client(Session& session) {
-  net::FrameBuffer rbuf;
-  Clock::time_point last_activity = Clock::now();
-  Clock::time_point drain_seen{};
-  bool drain_observed = false;
-  bool closing = false;
-
-  while (!closing) {
-    const int fd = session.fd.load(std::memory_order_acquire);
-    if (fd < 0) break;
-
-    // Decode and dispatch everything buffered.
-    for (;;) {
-      net::FrameView frame;
-      net::DecodeError decode_error;
-      const net::DecodeStatus status = rbuf.next(frame, decode_error);
-      if (status == net::DecodeStatus::NeedMore) break;
-      if (status == net::DecodeStatus::Error) {
-        send_error(session, decode_error.request_id, net::kProtocolVersion,
-                   decode_error.code, decode_error.message);
-        if (decode_error.fatal) {
-          closing = true;
-          break;
-        }
-        rbuf.skip(decode_error.skip_bytes);
-        continue;
-      }
-      if (!dispatch_frame(session, frame)) {
-        closing = true;
-        break;
-      }
-      last_activity = Clock::now();
-    }
-    if (closing) break;
-    if (draining_.load(std::memory_order_acquire)) {
-      if (!drain_observed) {
-        drain_observed = true;
-        drain_seen = Clock::now();
-      }
-      // Past the linger an idle draining session owes the client nothing.
-      if (rbuf.unread() == 0 &&
-          ms_since(drain_seen, Clock::now()) > kDrainLingerMs)
-        break;
-    }
-
-    pollfd pfd{fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, /*timeout_ms=*/200);
-    if (rc < 0 && errno != EINTR) break;
-    if (rc > 0) {
-      // Also reached on POLLERR/POLLHUP, where recv reports the failure.
-      const ssize_t n = rbuf.read_from(fd);
-      if (n == 0) break;
-      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) break;
-      if (n > 0) last_activity = Clock::now();
-    }
-    if (config_.client_idle_timeout_ms > 0 && rbuf.unread() == 0 &&
-        ms_since(last_activity, Clock::now()) >
-            config_.client_idle_timeout_ms)
-      break;
-  }
-
-  const int fd = session.fd.exchange(-1, std::memory_order_acq_rel);
-  if (fd >= 0) ::close(fd);
-  active_clients_.fetch_sub(1, std::memory_order_acq_rel);
-  active_clients_gauge_.set(
-      std::max(0, active_clients_.load(std::memory_order_relaxed)));
-  session.finished.store(true, std::memory_order_release);
+bool Router::busy(const net::Conn& conn) const {
+  return static_cast<const ClientConn&>(conn).proxy != nullptr;
 }
 
-bool Router::dispatch_frame(Session& session, const net::FrameView& frame) {
+bool Router::accepting(const net::Conn& conn) const { return !busy(conn); }
+
+void Router::on_frame(net::Conn& conn, const net::FrameView& frame,
+                      double /*buffered_ms*/) {
   switch (frame.type) {
     case net::MessageType::RolloutRequest:
-      if (draining_.load(std::memory_order_acquire)) {
-        send_error(session, frame.request_id, frame.version,
-                   net::NetError::ShuttingDown, "router is draining");
-        return true;
-      }
-      return proxy_rollout(session, frame);
+      begin_proxy(static_cast<ClientConn&>(conn), frame);
+      return;
     case net::MessageType::StatsRequest:
-      answer_stats(session, frame);
-      return true;
+      // The router never queues (Busy is immediate): queue depth 0.
+      engine_.push_stats(conn, frame, ms_since(started_, Clock::now()),
+                         inflight_.load(std::memory_order_relaxed), 0);
+      return;
     case net::MessageType::Hello:
-      answer_hello(session, frame);
-      return true;
+      answer_hello(conn, frame);
+      return;
     default:
-      send_error(session, frame.request_id, frame.version,
-                 net::NetError::Malformed,
-                 "unexpected message type from client");
-      return true;
+      engine_.push_error(conn, frame.request_id, net::NetError::Malformed,
+                         "unexpected message type from client");
   }
 }
 
-bool Router::proxy_rollout(Session& session, const net::FrameView& frame) {
-  serve::RolloutRequest request;
+void Router::on_close(net::Conn& conn) {
+  auto& c = static_cast<ClientConn&>(conn);
+  // Nobody is left to stream to. Closing the backend link makes the server
+  // cancel what it has not finished.
+  if (c.proxy && c.proxy->backend != nullptr) release(*c.proxy, false);
+  c.proxy.reset();
+}
+
+void Router::begin_proxy(ClientConn& c, const net::FrameView& frame) {
+  if (engine_.draining()) {
+    engine_.push_error(c, frame.request_id, net::NetError::ShuttingDown,
+                       "router is draining");
+    return;
+  }
+  auto proxy = std::make_unique<Proxy>();
   std::string parse_error;
-  if (!net::decode_rollout_request(frame, request, parse_error)) {
-    send_error(session, frame.request_id, frame.version,
-               net::NetError::Malformed, parse_error);
-    return true;
+  if (!net::decode_rollout_request(frame, proxy->request, parse_error)) {
+    engine_.push_error(c, frame.request_id, net::NetError::Malformed,
+                       parse_error);
+    return;
   }
   requests_.add();
-  GNS_TRACE_SCOPE_T("router.proxy", request.trace_id);
+  proxy->client_id = frame.request_id;
+  proxy->start_ns = obs::trace_now_ns();
+  c.proxy = std::move(proxy);
+  place(c);
+}
 
-  const int max_attempts =
-      config_.max_attempts > 0 ? config_.max_attempts
+void Router::place(ClientConn& c) {
+  Proxy& p = *c.proxy;
+  const int max_attempts = config_.max_attempts > 0
+                               ? config_.max_attempts
                                : static_cast<int>(backends_.size());
-  std::vector<Backend*> tried;
-  PickOutcome outcome = PickOutcome::AllDown;
-  bool saw_busy = false;
-  bool saw_failure = false;
-  bool saw_incapable = false;
-
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    Backend* backend = pick_backend(request.model, tried, outcome);
+  while (static_cast<int>(p.tried.size()) < max_attempts) {
+    Backend* backend = pick_backend(p.request.model, p.tried, p.outcome);
     if (backend == nullptr) break;
-    tried.push_back(backend);
+    p.tried.push_back(backend);
+    // Counted before the checkout, so a concurrent placement sees it.
     backend->add_inflight(1);
     inflight_gauge_.set(inflight_.fetch_add(1, std::memory_order_relaxed) +
                         1);
-    const ProxyOutcome result = proxy_once(
-        session, frame.request_id, frame.version, request, *backend);
-    backend->add_inflight(-1);
-    inflight_gauge_.set(std::max(
-        0, inflight_.fetch_sub(1, std::memory_order_relaxed) - 1));
-
-    switch (result) {
-      case ProxyOutcome::Done:
-        return true;
-      case ProxyOutcome::ClientLost:
-        return false;
-      case ProxyOutcome::RetryBusy:
-        saw_busy = true;
-        continue;
-      case ProxyOutcome::RetryDraining:
-        saw_failure = true;
-        continue;
-      case ProxyOutcome::RetryIncapable:
-        saw_incapable = true;
-        continue;
-      case ProxyOutcome::RetryDead:
-        // The failover everything above is for: the request never started
-        // streaming, so a sibling serves it and the client never knows.
-        failovers_.add();
-        saw_failure = true;
-        continue;
-      case ProxyOutcome::FatalStreamLost:
-        backend_lost_.add();
-        if (frame.version >= 3) {
-          send_error(session, frame.request_id, frame.version,
-                     net::NetError::BackendLost,
-                     "backend " + backend->label() +
-                         " died after streaming began; do not retry "
-                         "blindly — partial frames were delivered");
-        } else {
-          // Pre-v3 clients do not know the code; Internal with the story.
-          send_error(session, frame.request_id, frame.version,
-                     net::NetError::Internal,
-                     "backend lost after streaming began");
-        }
-        return true;
+    p.backend = backend;
+    std::string error;
+    p.link = backend->checkout(error);
+    if (p.link == nullptr) {
+      evict_backend(*backend, error);
+      release(p, false);
+      failovers_.add();
+      p.saw_failure = true;
+      continue;
     }
+    return;  // pump() drives the link from here
   }
 
-  if ((outcome == PickOutcome::NoBackendForModel || saw_incapable) &&
-      !saw_busy && !saw_failure) {
+  if ((p.outcome == PickOutcome::NoBackendForModel || p.saw_incapable) &&
+      !p.saw_busy && !p.saw_failure) {
     // Mirror what a direct server answers, so clients have one code path.
     net::WireStatus status;
     status.status = serve::JobStatus::ModelNotFound;
-    status.error = "no backend serves model '" + request.model + "'";
-    status.trace_id = request.trace_id;
-    if (!send_to_client(session,
-                        net::encode_status_reply(frame.request_id, status,
-                                                 frame.version)))
-      return false;
-    return true;
-  }
-
-  busy_rejected_.add();
-  std::string reason = saw_busy ? "every capable backend is at capacity"
-                       : saw_failure
+    status.error = "no backend serves model '" + p.request.model + "'";
+    status.trace_id = p.request.trace_id;
+    engine_.push(c, net::encode_status_reply(p.client_id, status,
+                                             c.peer_version));
+  } else {
+    busy_rejected_.add();
+    engine_.push_error(c, p.client_id, net::NetError::Busy,
+                       p.saw_busy ? "every capable backend is at capacity"
+                       : p.saw_failure
                            ? "no backend could serve the request; retry"
-                           : "no healthy backend available";
-  send_error(session, frame.request_id, frame.version, net::NetError::Busy,
-             reason);
-  return true;
+                           : "no healthy backend available");
+  }
+  finish(c, false);
 }
 
-Router::ProxyOutcome Router::proxy_once(Session& session,
-                                        std::uint64_t client_request_id,
-                                        std::uint8_t client_version,
-                                        const serve::RolloutRequest& request,
-                                        Backend& backend) {
-  std::string error;
-  std::unique_ptr<net::FrameConn> conn = backend.checkout(error);
-  if (conn == nullptr) {
-    evict_backend(backend, error);
-    return ProxyOutcome::RetryDead;
-  }
-  // Placement on a never-contacted backend is optimistic; the checkout
-  // above ran the handshake, so the model claim is now checkable.
-  if (!backend.serves(request.model)) {
-    backend.checkin(std::move(conn));
-    return ProxyOutcome::RetryIncapable;
-  }
-  const BackendCapabilities caps = backend.capabilities();
-  const std::uint64_t backend_id = conn->next_request_id();
-  if (!conn->send_frame(net::encode_rollout_request(backend_id, request,
-                                                    caps.wire_version))) {
-    evict_backend(backend, "send to " + backend.label() + " failed");
-    return ProxyOutcome::RetryDead;
-  }
-
-  bool streamed = false;
-  for (;;) {
+Clock::time_point Router::pump(net::Conn& conn) {
+  auto& c = static_cast<ClientConn&>(conn);
+  // A client that is not taking its stream holds the backend back: the
+  // link is read only once the client's write queue has drained.
+  while (c.proxy && c.wqueue.empty() && !c.failed) {
+    Proxy& p = *c.proxy;
+    Link& link = *p.link;
+    Backend& backend = *p.backend;
+    if (p.restart_deadline) {
+      p.restart_deadline = false;
+      link.deadline = after_ms(Clock::now(), config_.tuning.io_timeout_ms);
+    }
     net::FrameView frame;
-    std::string read_error;
-    const net::FrameConn::ReadStatus status =
-        conn->read_frame(frame, read_error, config_.tuning.io_timeout_ms);
-    if (status != net::FrameConn::ReadStatus::Ok) {
-      evict_backend(backend, read_error);
-      return streamed ? ProxyOutcome::FatalStreamLost
-                      : ProxyOutcome::RetryDead;
-    }
-    if (frame.request_id != backend_id) {
-      conn->close();
-      evict_backend(backend, "backend answered an unknown request id");
-      return streamed ? ProxyOutcome::FatalStreamLost
-                      : ProxyOutcome::RetryDead;
-    }
-
-    std::string parse_error;
-    switch (frame.type) {
-      case net::MessageType::RolloutChunk: {
-        net::WireChunk chunk;
-        if (!net::decode_rollout_chunk(frame, chunk, parse_error)) {
-          conn->close();
-          evict_backend(backend, "bad chunk: " + parse_error);
-          return streamed ? ProxyOutcome::FatalStreamLost
-                          : ProxyOutcome::RetryDead;
-        }
-        if (!send_to_client(session,
-                            net::encode_rollout_chunk(
-                                client_request_id, chunk, client_version))) {
-          // Nobody left to stream to. Closing the backend connection makes
-          // the server cancel what it has not finished.
-          conn->close();
-          return ProxyOutcome::ClientLost;
-        }
-        streamed = true;
-        continue;
+    std::string error;
+    switch (backend.advance(link, std::exchange(p.revents, 0), frame,
+                            error)) {
+      case Backend::Io::Wait: {
+        auto self = c.shared_from_this();
+        watch(link, p.serial, [this, self](std::uint64_t serial) {
+          return [this, self, serial](short re) {
+            engine_.service(self, 0, [serial, re](net::Conn& x) {
+              auto& cc = static_cast<ClientConn&>(x);
+              if (cc.proxy && cc.proxy->serial == serial)
+                cc.proxy->revents |= re;
+            });
+          };
+        });
+        return link.deadline;
       }
-      case net::MessageType::StatusReply: {
-        net::WireStatus wire_status;
-        if (!net::decode_status_reply(frame, wire_status, parse_error)) {
-          conn->close();
-          evict_backend(backend, "bad status reply: " + parse_error);
-          return streamed ? ProxyOutcome::FatalStreamLost
-                          : ProxyOutcome::RetryDead;
+      case Backend::Io::Ready:
+        // Placement on a never-contacted backend is optimistic; the
+        // handshake has run now, so the model claim is checkable.
+        if (!backend.serves(p.request.model)) {
+          p.saw_incapable = true;
+          release(p, true);
+          place(c);
+          break;
         }
-        backend.mark_healthy();
-        backend.checkin(std::move(conn));
-        if (!send_to_client(session,
-                            net::encode_status_reply(client_request_id,
-                                                     wire_status,
-                                                     client_version)))
-          return ProxyOutcome::ClientLost;
-        return ProxyOutcome::Done;
-      }
-      case net::MessageType::ErrorReply: {
-        net::WireError wire_error;
-        if (!net::decode_error_reply(frame, wire_error, parse_error)) {
-          conn->close();
-          evict_backend(backend, "bad error reply: " + parse_error);
-          return streamed ? ProxyOutcome::FatalStreamLost
-                          : ProxyOutcome::RetryDead;
-        }
-        if (wire_error.code == net::NetError::Busy && !streamed) {
-          // The backend is alive, just full: keep the connection, try a
-          // sibling, and only surface Busy when everyone is.
-          backend.checkin(std::move(conn));
-          retries_.add();
-          return ProxyOutcome::RetryBusy;
-        }
-        if (wire_error.code == net::NetError::ShuttingDown && !streamed) {
-          conn->close();
-          backend.set_draining(true);
-          retries_.add();
-          return ProxyOutcome::RetryDraining;
-        }
-        // Any other backend-side rejection is this request's real answer.
-        backend.checkin(std::move(conn));
-        if (!send_to_client(session,
-                            net::encode_error_reply(client_request_id,
-                                                    wire_error,
-                                                    client_version)))
-          return ProxyOutcome::ClientLost;
-        return ProxyOutcome::Done;
-      }
-      default:
-        conn->close();
-        evict_backend(backend, "unexpected frame type from backend");
-        return streamed ? ProxyOutcome::FatalStreamLost
-                        : ProxyOutcome::RetryDead;
+        p.backend_id = link.next_request_id++;
+        link.ch.push(net::encode_rollout_request(
+            p.backend_id, p.request, backend.capabilities().wire_version));
+        p.restart_deadline = true;
+        break;
+      case Backend::Io::Failed:
+        lost(c, error);
+        break;
+      case Backend::Io::Frame:
+        on_reply(c, frame);
+        if (c.proxy) c.proxy->restart_deadline = true;
+        engine_.flush(c);
+        break;
     }
   }
+  return Clock::time_point::max();
 }
+
+void Router::on_reply(ClientConn& c, const net::FrameView& frame) {
+  Proxy& p = *c.proxy;
+  std::string parse_error;
+  net::WireChunk chunk;
+  net::WireStatus status;
+  net::WireError error;
+  if (frame.request_id != p.backend_id)
+    return lost(c, "backend answered an unknown request id");
+  if (frame.type == net::MessageType::RolloutChunk &&
+      net::decode_rollout_chunk(frame, chunk, parse_error)) {
+    engine_.push(
+        c, net::encode_rollout_chunk(p.client_id, chunk, c.peer_version),
+        /*terminal=*/false);
+    p.streamed = true;
+    return;
+  }
+  if (frame.type == net::MessageType::StatusReply &&
+      net::decode_status_reply(frame, status, parse_error)) {
+    p.backend->mark_healthy();
+    engine_.push(c, net::encode_status_reply(p.client_id, status,
+                                             c.peer_version));
+    return finish(c, true);
+  }
+  if (frame.type != net::MessageType::ErrorReply ||
+      !net::decode_error_reply(frame, error, parse_error))
+    return lost(c, "bad reply from backend: " + parse_error);
+  if (!p.streamed && (error.code == net::NetError::Busy ||
+                      error.code == net::NetError::ShuttingDown)) {
+    // A Busy backend is alive, just full: keep the link, try a sibling, and
+    // surface Busy only when everyone is. A draining one gets no more work.
+    const bool busy = error.code == net::NetError::Busy;
+    retries_.add();
+    (busy ? p.saw_busy : p.saw_failure) = true;
+    if (!busy) p.backend->set_draining(true);
+    release(p, busy);
+    return place(c);
+  }
+  // Any other backend-side rejection is this request's real answer.
+  engine_.push(c,
+               net::encode_error_reply(p.client_id, error, c.peer_version));
+  finish(c, true);
+}
+
+void Router::lost(ClientConn& c, const std::string& why) {
+  Proxy& p = *c.proxy;
+  const std::string label = p.backend->label();
+  evict_backend(*p.backend, why);
+  release(p, false);
+  if (!p.streamed) {
+    // The failover everything above is for: the request never started
+    // streaming, so a sibling serves it and the client never knows.
+    failovers_.add();
+    p.saw_failure = true;
+    return place(c);
+  }
+  // Retrying elsewhere would duplicate the frames already delivered.
+  // Pre-v3 clients do not know BackendLost; Internal with the story.
+  backend_lost_.add();
+  engine_.push_error(
+      c, p.client_id,
+      c.peer_version >= 3 ? net::NetError::BackendLost
+                            : net::NetError::Internal,
+      "backend " + label +
+          " died after streaming began; do not retry blindly — partial "
+          "frames were delivered");
+  finish(c, false);
+}
+
+void Router::release(Proxy& p, bool keep_link) {
+  p.backend->add_inflight(-1);
+  inflight_gauge_.set(
+      std::max(0, inflight_.fetch_sub(1, std::memory_order_relaxed) - 1));
+  if (p.link != nullptr) {
+    unwatch(*p.link);
+    if (keep_link) p.backend->checkin(std::move(p.link));
+    p.link.reset();
+  }
+  p.backend = nullptr;
+  p.backend_id = 0;
+  p.revents = 0;
+}
+
+void Router::finish(ClientConn& c, bool keep_link) {
+  if (c.proxy->backend != nullptr) release(*c.proxy, keep_link);
+  obs::record_manual_span("router.proxy", c.proxy->start_ns,
+                          obs::trace_now_ns(), c.proxy->request.trace_id);
+  c.proxy.reset();
+}
+
+void Router::watch(
+    Link& link, std::uint64_t& serial,
+    const std::function<exec::IoBridge::Callback(std::uint64_t)>& make) {
+  if (link.watch >= 0 && !link.reconnected) {
+    engine_.bridge().rearm(link.watch, link.events());
+    return;
+  }
+  unwatch(link);
+  link.reconnected = false;
+  serial = next_serial_.fetch_add(1, std::memory_order_relaxed);
+  link.watch = engine_.bridge().watch(link.ch.fd, link.events(), make(serial));
+}
+
+void Router::unwatch(Link& link) {
+  if (link.watch >= 0) engine_.bridge().unwatch(link.watch);
+  link.watch = -1;
+}
+
+// ---- Probes ----------------------------------------------------------------
+
+void Router::sweep() {
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    Probe& p = *probes_[i];
+    std::lock_guard<std::mutex> lk(p.m);
+    if (p.link != nullptr) {
+      // One probe per backend at a time: for one still in flight from an
+      // earlier sweep, this one is the deadline check.
+      if (Clock::now() >= p.deadline)
+        end_probe(i, "no answer within the probe timeout");
+      continue;
+    }
+    Backend& backend = *backends_[i];
+    const bool readmit = backend.health() == BackendHealth::Evicted;
+    if (readmit && !backend.readmit_due()) continue;
+    if (!readmit) probes_made_.add();
+    p.deadline = after_ms(Clock::now(), config_.probe_timeout_ms);
+    std::string error;
+    p.link = backend.connect(error);
+    if (p.link == nullptr)
+      end_probe(i, error);
+    else
+      drive_probe(i, 0);
+  }
+  update_health_gauge();
+  std::lock_guard<std::mutex> lock(sweep_mutex_);
+  sweep_timer_ = 0;
+  if (!sweep_stopped_) schedule_sweep();
+}
+
+void Router::schedule_sweep() {
+  sweep_pending_.fetch_add(1, std::memory_order_acq_rel);
+  sweep_timer_ = exec::Executor::global().schedule_after(
+      config_.probe_interval_ms, [this] {
+        sweep();
+        sweep_pending_.fetch_sub(1, std::memory_order_acq_rel);
+      });
+}
+
+void Router::drive_probe(std::size_t index, short revents) {
+  Probe& p = *probes_[index];
+  net::FrameView frame;
+  std::string error;
+  const Backend::Io io =
+      backends_[index]->advance(*p.link, revents, frame, error);
+  if (io != Backend::Io::Wait) {
+    // Ready: the handshake answered, so the backend is alive.
+    end_probe(index, io == Backend::Io::Ready   ? ""
+                     : io == Backend::Io::Frame ? "unexpected frame"
+                                                : error);
+    return;
+  }
+  watch(*p.link, p.serial, [this, index](std::uint64_t serial) {
+    return [this, index, serial](short re) {
+      Probe& probe = *probes_[index];
+      std::lock_guard<std::mutex> lk(probe.m);
+      if (probe.link != nullptr && probe.serial == serial)
+        drive_probe(index, re);
+    };
+  });
+}
+
+void Router::end_probe(std::size_t index, const std::string& error) {
+  Probe& p = *probes_[index];
+  Backend& backend = *backends_[index];
+  const bool readmit = backend.health() == BackendHealth::Evicted;
+  // Closed, not pooled: probe links would pile up idle in the pool.
+  unwatch(*p.link);
+  p.link.reset();
+  if (error.empty()) {
+    backend.mark_healthy();
+    if (readmit) {
+      readmissions_.add();
+      GNS_INFO("router: re-admitted backend " << backend.label());
+    }
+  } else if (readmit) {
+    backend.evict();  // extends the backoff; still one eviction event
+  } else {
+    evict_backend(backend, "probe: " + error);
+  }
+}
+
+void Router::stop_probes() {
+  {
+    std::lock_guard<std::mutex> lock(sweep_mutex_);
+    sweep_stopped_ = true;
+    if (sweep_timer_ != 0 &&
+        exec::Executor::global().cancel_timer(sweep_timer_))
+      sweep_pending_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  while (sweep_pending_.load(std::memory_order_acquire) > 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // No sweep runs any more; events of a probe still in flight find no link.
+  for (const auto& probe : probes_) {
+    std::lock_guard<std::mutex> lk(probe->m);
+    if (probe->link != nullptr) unwatch(*probe->link);
+    probe->link.reset();
+  }
+}
+
+// ---- Placement and health --------------------------------------------------
 
 Backend* Router::pick_backend(const std::string& model,
                               const std::vector<Backend*>& exclude,
@@ -539,118 +560,14 @@ void Router::update_health_gauge() {
   backends_healthy_.set(healthy);
 }
 
-void Router::probe_loop() {
-  // First sweep a full interval after start: placement is optimistic
-  // about un-probed backends anyway, and a quiet startup keeps tests (and
-  // operators' logs) deterministic.
-  double since_probe_ms = 0.0;
-  Clock::time_point last = Clock::now();
-  while (!draining_.load(std::memory_order_acquire)) {
-    const Clock::time_point now = Clock::now();
-    since_probe_ms += ms_since(last, now);
-    last = now;
-    if (since_probe_ms < config_.probe_interval_ms) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
-      continue;
-    }
-    since_probe_ms = 0.0;
-    for (const auto& backend : backends_) {
-      if (draining_.load(std::memory_order_acquire)) return;
-      probe_backend(*backend);
-    }
-    update_health_gauge();
-  }
-}
+// ---- Router-answered requests -----------------------------------------------
 
-void Router::probe_backend(Backend& backend) {
-  std::string error;
-  if (backend.health() == BackendHealth::Evicted) {
-    if (!backend.readmit_due()) return;
-    // Re-admission handshakes from scratch: the peer may have restarted as
-    // a different binary with different models.
-    std::unique_ptr<net::FrameConn> conn = backend.checkout(error);
-    if (conn == nullptr) {
-      backend.evict();  // extends the backoff; still one eviction event
-      return;
-    }
-    backend.mark_healthy();
-    backend.checkin(std::move(conn));
-    readmissions_.add();
-    GNS_INFO("router: re-admitted backend " << backend.label());
-    return;
-  }
-
-  std::unique_ptr<net::FrameConn> conn = backend.checkout(error);
-  if (conn == nullptr) {
-    evict_backend(backend, "probe: " + error);
-    return;
-  }
-  probes_.add();
-  const BackendCapabilities caps = backend.capabilities();
-  if (caps.wire_version >= 2) {
-    // The real probe: a StatsRequest with a deadline. Beyond liveness it
-    // refreshes the draining flag, so an independently draining backend
-    // stops receiving placements within one probe interval.
-    const std::uint64_t request_id = conn->next_request_id();
-    net::WireStatsRequest stats_request;
-    stats_request.format = net::WireStatsRequest::kJson;
-    if (!conn->send_frame(net::encode_stats_request(
-            request_id, stats_request, caps.wire_version))) {
-      evict_backend(backend, "probe send failed");
-      return;
-    }
-    net::FrameView frame;
-    const net::FrameConn::ReadStatus status =
-        conn->read_frame(frame, error, config_.probe_timeout_ms);
-    net::WireStatsReply reply;
-    std::string parse_error;
-    if (status != net::FrameConn::ReadStatus::Ok ||
-        frame.type != net::MessageType::StatsReply ||
-        frame.request_id != request_id ||
-        !net::decode_stats_reply(frame, reply, parse_error)) {
-      conn->close();
-      evict_backend(backend,
-                    "probe: " + (error.empty() ? parse_error : error));
-      return;
-    }
-    backend.set_draining(reply.draining != 0);
-  }
-  // v1 peers predate stats; the fresh TCP connect above was the probe.
-  backend.mark_healthy();
-  backend.checkin(std::move(conn));
-}
-
-void Router::answer_stats(Session& session, const net::FrameView& frame) {
-  net::WireStatsRequest request;
-  std::string parse_error;
-  if (!net::decode_stats_request(frame, request, parse_error)) {
-    send_error(session, frame.request_id, frame.version,
-               net::NetError::Malformed, parse_error);
-    return;
-  }
-  net::WireStatsReply reply;
-  reply.uptime_ms = ms_since(started_, Clock::now());
-  reply.inflight = static_cast<std::uint32_t>(
-      std::max(0, inflight_.load(std::memory_order_relaxed)));
-  reply.queue_depth = 0;  // the router never queues; Busy is immediate
-  reply.active_connections = static_cast<std::uint32_t>(
-      std::max(0, active_clients_.load(std::memory_order_relaxed)));
-  reply.draining = draining_.load(std::memory_order_acquire) ? 1 : 0;
-  reply.format = request.format;
-  reply.body = request.format == net::WireStatsRequest::kPrometheus
-                   ? obs::MetricsRegistry::global().to_prometheus()
-                   : obs::MetricsRegistry::global().to_json();
-  (void)send_to_client(
-      session, net::encode_stats_reply(frame.request_id, reply,
-                                       frame.version));
-}
-
-void Router::answer_hello(Session& session, const net::FrameView& frame) {
+void Router::answer_hello(net::Conn& conn, const net::FrameView& frame) {
   net::WireHello hello;
   std::string parse_error;
   if (!net::decode_hello(frame, hello, parse_error)) {
-    send_error(session, frame.request_id, frame.version,
-               net::NetError::Malformed, parse_error);
+    engine_.push_error(conn, frame.request_id, net::NetError::Malformed,
+                       parse_error);
     return;
   }
   // Aggregate capability of the healthy fleet: union of models, summed
@@ -658,23 +575,19 @@ void Router::answer_hello(Session& session, const net::FrameView& frame) {
   // of servers.
   net::WireHelloReply reply;
   reply.protocol_version = net::kProtocolVersion;
-  reply.draining = draining_.load(std::memory_order_acquire) ? 1 : 0;
+  reply.draining = engine_.draining() ? 1 : 0;
   std::set<std::string> models;
   long capacity = 0;
   long workers = 0;
-  bool any_wildcard = false;
   for (const auto& backend : backends_) {
     if (backend->health() == BackendHealth::Evicted) continue;
     const BackendCapabilities caps = backend->capabilities();
-    if (caps.legacy) any_wildcard = true;
     for (const std::string& model : caps.models) models.insert(model);
     capacity += backend->placement_capacity();
     workers += caps.workers;
   }
-  // A legacy backend serves an unknown model set; advertising nothing
-  // would under-claim, so the aggregate only lists what is known and the
-  // capacity still counts the wildcard slots.
-  (void)any_wildcard;
+  // A legacy backend serves an unknown model set: the aggregate lists only
+  // what is known, and the capacity still counts its wildcard slots.
   reply.max_inflight = static_cast<std::uint32_t>(
       std::min<long>(capacity, 1L << 20));
   reply.current_inflight = static_cast<std::uint32_t>(
@@ -684,24 +597,8 @@ void Router::answer_hello(Session& session, const net::FrameView& frame) {
   reply.models.assign(models.begin(), models.end());
   if (reply.models.size() > net::kMaxHelloModels)
     reply.models.resize(net::kMaxHelloModels);
-  (void)send_to_client(
-      session, net::encode_hello_reply(frame.request_id, reply,
-                                       frame.version));
-}
-
-bool Router::send_to_client(Session& session,
-                            const std::vector<std::uint8_t>& frame) {
-  const int fd = session.fd.load(std::memory_order_acquire);
-  if (fd < 0) return false;
-  return net::send_all(fd, frame.data(), frame.size());
-}
-
-void Router::send_error(Session& session, std::uint64_t request_id,
-                        std::uint8_t version, net::NetError code,
-                        const std::string& message) {
-  (void)send_to_client(
-      session,
-      net::encode_error_reply(request_id, {code, message}, version));
+  engine_.push(conn,
+               net::encode_hello_reply(frame.request_id, reply, frame.version));
 }
 
 }  // namespace gns::router

@@ -28,13 +28,14 @@
 ///  - trace_ids pass through both hops untouched, so one id greps across
 ///    client, router, and backend logs.
 ///
-/// Health: a probe loop sends each backend a periodic StatsRequest with a
-/// deadline (plain TCP connect for v1 peers, which predate stats). A
-/// timeout or I/O failure — from the probe or from any proxied request —
+/// Health: every probe_interval_ms an executor timer probes each backend:
+/// a HELLO handshake on a fresh link (a plain TCP connect for pre-v3
+/// peers), due within probe_timeout_ms and checked by the next sweep. A
+/// miss or an I/O failure — from the probe or from any proxied request —
 /// evicts the backend: its pool closes and placement skips it. Eviction
 /// starts an exponentially growing re-admission backoff; once due, the
-/// probe loop re-handshakes (HELLO again: the peer may have come back as a
-/// different binary) and a success re-admits.
+/// next probe re-handshakes (the peer may have come back as a different
+/// binary) and a success re-admits.
 ///
 /// The router answers StatsRequest with its OWN metrics (router.* —
 /// evictions, failovers, per-backend health) and HELLO with the aggregate
@@ -47,26 +48,24 @@
 /// in-flight work. Router::stop() implements the router half; no accepted
 /// request is dropped.
 ///
-/// Threading: one acceptor thread, one probe thread, one thread per client
-/// connection (blocking proxy loop — a router fronts few clients each
-/// issuing streams, not thousands of idle sockets). The acceptor joins
-/// the threads of ended sessions each time it accepts. Backend connections
-/// are pooled per backend and exclusively checked out per request.
-///
-/// Sockets: the listener, the client sessions' receive buffers and the
-/// backend connections all come from net/socket.hpp, the layer net::Client
-/// and net::Server use too.
+/// Threading: none of its own. Client connections run on the connection
+/// engine net::Server uses (net/conn_engine.hpp); backend links are
+/// watches on its bridge, probes and deadlines executor timers. A client
+/// connection proxies one request at a time — placed, backend handshake,
+/// forwarded, streaming, done or failed over — under its lock, driven by
+/// client and backend events alike. The backend is read only once the
+/// client's write queue has drained: a client that stops reading holds its
+/// stream back and is closed after tuning.io_timeout_ms.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "net/conn_engine.hpp"
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "router/backend.hpp"
@@ -101,16 +100,16 @@ struct BackendSnapshot {
   int inflight = 0;
 };
 
-class Router {
+class Router : private net::ConnHandler {
  public:
   explicit Router(RouterConfig config);
-  ~Router();  ///< calls stop()
+  ~Router() override;  ///< calls stop()
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Binds and starts the acceptor + probe threads. Does NOT wait for any
-  /// backend: dead ones stay Unknown/Evicted until the probe loop reaches
+  /// Binds, starts accepting and arms the probe timer. Does NOT wait for
+  /// any backend: dead ones stay Unknown/Evicted until a probe reaches
   /// them, and requests simply avoid them.
   [[nodiscard]] bool start();
 
@@ -122,33 +121,10 @@ class Router {
   [[nodiscard]] bool running() const {
     return running_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] int port() const { return port_; }
+  [[nodiscard]] int port() const { return engine_.port(); }
   [[nodiscard]] std::vector<BackendSnapshot> snapshot() const;
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  /// One client connection and the thread serving it. stop() shutdown()s
-  /// stragglers past the drain deadline; accept_loop joins and drops the
-  /// ones whose thread has finished.
-  struct Session {
-    std::atomic<int> fd{-1};
-    std::atomic<bool> finished{false};
-    std::thread thread;
-  };
-
-  enum class ProxyOutcome {
-    Done,           ///< a terminal frame reached the client
-    ClientLost,     ///< the client went away mid-stream; tear down
-    RetryBusy,      ///< backend answered Busy; try a sibling
-    RetryDraining,  ///< backend is draining; try a sibling
-    RetryDead,      ///< backend died before its first chunk; evicted
-    /// Placement was optimistic (capabilities unknown) but the checkout
-    /// handshake revealed the backend does not serve the model.
-    RetryIncapable,
-    FatalStreamLost  ///< backend died after streaming began
-  };
-
   enum class PickOutcome {
     Picked,
     NoBackendForModel,  ///< healthy backends exist; none serves the model
@@ -156,19 +132,50 @@ class Router {
     AllDown             ///< nothing healthy at all
   };
 
-  void accept_loop();
-  void probe_loop();
-  void probe_backend(Backend& backend);
-  void serve_client(Session& session);
-  /// Dispatches one decoded client frame. False when the session must end.
-  bool dispatch_frame(Session& session, const net::FrameView& frame);
-  bool proxy_rollout(Session& session, const net::FrameView& frame);
-  ProxyOutcome proxy_once(Session& session, std::uint64_t client_request_id,
-                          std::uint8_t client_version,
-                          const serve::RolloutRequest& request,
-                          Backend& backend);
-  void answer_stats(Session& session, const net::FrameView& frame);
-  void answer_hello(Session& session, const net::FrameView& frame);
+  struct Proxy;       ///< the one request a client connection proxies
+  struct ClientConn;  ///< a client connection and its Proxy
+  struct Probe;       ///< one backend's health check
+
+  // ConnHandler: what the engine asks of the router.
+  std::shared_ptr<net::Conn> make_conn() override;
+  void on_frame(net::Conn& conn, const net::FrameView& frame,
+                double buffered_ms) override;
+  bool busy(const net::Conn& conn) const override;
+  /// One request at a time: later frames wait in the buffer.
+  bool accepting(const net::Conn& conn) const override;
+  /// Drives the request's backend link while the client keeps up.
+  Clock::time_point pump(net::Conn& conn) override;
+  void on_close(net::Conn& conn) override;
+
+  void begin_proxy(ClientConn& conn, const net::FrameView& frame);
+  /// Checks out a link on the least-loaded capable backend not yet tried,
+  /// or answers the request when none is left.
+  void place(ClientConn& conn);
+  void on_reply(ClientConn& conn, const net::FrameView& frame);
+  /// The backend failed: evict it, then fail over before the first chunk
+  /// or answer BackendLost after it.
+  void lost(ClientConn& conn, const std::string& why);
+  /// Gives back the attempt's in-flight slot and its link (to the pool
+  /// when `keep_link`, else closed).
+  void release(Proxy& proxy, bool keep_link);
+  void finish(ClientConn& conn, bool keep_link);
+  /// Re-arms `link` on the bridge, or watches it afresh under a new
+  /// `serial` (events of its owner's earlier watches carry an old one and
+  /// are dropped). `make` builds the callback for a serial.
+  void watch(Link& link, std::uint64_t& serial,
+             const std::function<exec::IoBridge::Callback(std::uint64_t)>&
+                 make);
+  void unwatch(Link& link);
+
+  /// Starts a probe on every backend without one in flight (checking the
+  /// deadline of those with one), then arms the next sweep.
+  void sweep();
+  void schedule_sweep();  ///< under sweep_mutex_
+  void drive_probe(std::size_t index, short revents);
+  void end_probe(std::size_t index, const std::string& error);
+  void stop_probes();
+
+  void answer_hello(net::Conn& conn, const net::FrameView& frame);
 
   Backend* pick_backend(const std::string& model,
                         const std::vector<Backend*>& exclude,
@@ -176,28 +183,22 @@ class Router {
   void evict_backend(Backend& backend, const std::string& why);
   void update_health_gauge();
 
-  bool send_to_client(Session& session,
-                      const std::vector<std::uint8_t>& frame);
-  void send_error(Session& session, std::uint64_t request_id,
-                  std::uint8_t version, net::NetError code,
-                  const std::string& message);
-
   RouterConfig config_;
   std::vector<std::unique_ptr<Backend>> backends_;
 
-  int listen_fd_ = -1;
-  int port_ = 0;
   Clock::time_point started_{};
   std::atomic<bool> running_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<int> active_clients_{0};
   std::atomic<int> inflight_{0};
+  std::atomic<std::uint64_t> next_serial_{1};
   std::once_flag stop_once_;
 
-  std::thread acceptor_;
-  std::thread prober_;
-  std::mutex sessions_mutex_;
-  std::list<Session> sessions_;  ///< list: a Session never moves
+  /// One per backend; a probe's state is guarded by its own mutex.
+  std::vector<std::unique_ptr<Probe>> probes_;
+  std::mutex sweep_mutex_;  ///< guards the two fields below
+  bool sweep_stopped_ = false;
+  exec::Executor::TimerId sweep_timer_ = 0;
+  /// The sweep timer, armed or firing; stop() waits for 0.
+  std::atomic<int> sweep_pending_{0};
 
   // router.* instruments (cached handles; registry owns them).
   obs::Counter& requests_;
@@ -207,10 +208,11 @@ class Router {
   obs::Counter& readmissions_;
   obs::Counter& backend_lost_;
   obs::Counter& busy_rejected_;
-  obs::Counter& probes_;
+  obs::Counter& probes_made_;
   obs::Gauge& backends_healthy_;
   obs::Gauge& inflight_gauge_;
-  obs::Gauge& active_clients_gauge_;
+
+  net::ConnEngine engine_;  ///< declared last, so destroyed first
 };
 
 }  // namespace gns::router

@@ -1,12 +1,26 @@
 #pragma once
 
 /// \file timer.hpp
-/// Wall-clock timing helpers for the benchmark harness and the hybrid
-/// GNS/MPM controller (which reports per-phase cost breakdowns).
+/// Wall-clock timing helpers for the benchmark harness, the hybrid
+/// GNS/MPM controller (which reports per-phase cost breakdowns) and the
+/// wire's deadlines.
 
 #include <chrono>
 
 namespace gns {
+
+/// Milliseconds from `then` to `now` (negative when `now` is earlier).
+inline double ms_since(std::chrono::steady_clock::time_point then,
+                       std::chrono::steady_clock::time_point now) {
+  return std::chrono::duration<double, std::milli>(now - then).count();
+}
+
+/// `t` plus `ms` milliseconds: a deadline.
+inline std::chrono::steady_clock::time_point after_ms(
+    std::chrono::steady_clock::time_point t, double ms) {
+  return t + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                 std::chrono::duration<double, std::milli>(ms));
+}
 
 /// Monotonic wall-clock stopwatch.
 class Timer {

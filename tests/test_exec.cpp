@@ -374,15 +374,17 @@ TEST_F(IoBridgeTest, UnwatchedFdNeverFires) {
 
 TEST_F(IoBridgeTest, StopDrainsInFlightCallbacksAndIsIdempotent) {
   std::atomic<int> fires{0};
+  std::atomic<bool> started{false};
   bridge_->watch(fds_[0], POLLIN, [&](short) {
+    started.store(true);
     drain_byte();
     std::this_thread::sleep_for(20ms);  // keep the callback in flight
     fires.fetch_add(1);
   });
   poke();
-  // Give the poller a moment to submit the callback, then stop: stop()
-  // must wait for the running callback rather than racing its capture.
-  std::this_thread::sleep_for(10ms);
+  // Once the callback is running, stop: stop() must wait for it rather
+  // than racing its capture.
+  ASSERT_TRUE(eventually([&started] { return started.load(); }));
   bridge_->stop();
   EXPECT_EQ(fires.load(), 1);
   bridge_->stop();  // idempotent

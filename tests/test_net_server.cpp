@@ -891,6 +891,27 @@ TEST(NetServer, IdleConnectionIsClosedByIdleTimeout) {
   h.server->stop();
 }
 
+TEST(NetServer, SilentConnectionIsClosedByIdleTimeout) {
+  ServerConfig cfg;
+  cfg.metrics_prefix = "net_t16";
+  cfg.idle_timeout_ms = 100.0;
+  Harness h(cfg);
+  ASSERT_TRUE(h.start());
+
+  // A peer that connects and never sends a byte sees no event at all, so
+  // only an idle deadline armed at accept can close it; without one it
+  // would hold a max_connections slot until stop().
+  const int fd = raw_connect(h.server->port());
+  const double waited_ms = ms_until_peer_closes(fd);
+  EXPECT_GE(waited_ms, 50.0) << "closed early, or never";
+  EXPECT_LT(waited_ms, 5000.0);
+  ::close(fd);
+  EXPECT_GE(obs::MetricsRegistry::global().counter("net_t16.timeouts").value(),
+            1u);
+
+  h.server->stop();
+}
+
 TEST(NetServer, ClientRecvTimeoutBoundsASilentPeer) {
   // A listener that never accepts: the kernel completes the handshake and
   // buffers the request, and no reply ever comes.

@@ -14,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -193,37 +194,46 @@ int raw_connect(int port) {
   return fd;
 }
 
-bool raw_hello(int port, net::WireHelloReply& reply) {
-  const int fd = raw_connect(port);
-  const auto wire = net::encode_hello(1, net::WireHello{});
+bool raw_send(int fd, const std::vector<std::uint8_t>& wire) {
   std::size_t off = 0;
   while (off < wire.size()) {
     const ssize_t n =
         ::send(fd, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      ::close(fd);
-      return false;
-    }
+    if (n <= 0) return false;
     off += static_cast<std::size_t>(n);
   }
-  std::vector<std::uint8_t> buf;
-  net::FrameView frame;
+  return true;
+}
+
+/// Blocking-reads the next frame from `fd` into `buf`, past the `off`
+/// bytes already decoded; false on close or error. The frame borrows `buf`
+/// until the next call.
+bool raw_next_frame(int fd, std::vector<std::uint8_t>& buf, std::size_t& off,
+                    net::FrameView& frame) {
   for (;;) {
     net::DecodeError decode_error;
-    if (net::try_decode_frame(buf.data(), buf.size(), frame, decode_error) ==
-        net::DecodeStatus::Ok)
-      break;
+    if (net::try_decode_frame(buf.data() + off, buf.size() - off, frame,
+                              decode_error) == net::DecodeStatus::Ok) {
+      off += frame.frame_bytes;
+      return true;
+    }
     std::uint8_t chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      ::close(fd);
-      return false;
-    }
+    if (n <= 0) return false;
     buf.insert(buf.end(), chunk, chunk + n);
   }
+}
+
+bool raw_hello(int port, net::WireHelloReply& reply) {
+  const int fd = raw_connect(port);
+  std::vector<std::uint8_t> buf;
+  std::size_t off = 0;
+  net::FrameView frame;
+  const bool got = raw_send(fd, net::encode_hello(1, net::WireHello{})) &&
+                   raw_next_frame(fd, buf, off, frame);
   ::close(fd);
   std::string parse_error;
-  return frame.type == net::MessageType::HelloReply &&
+  return got && frame.type == net::MessageType::HelloReply &&
          net::decode_hello_reply(frame, reply, parse_error);
 }
 
@@ -639,6 +649,180 @@ TEST(RouterFleet, IdleClientConnectionIsClosed) {
                                .count();
   EXPECT_GE(waited_ms, 90.0);
   EXPECT_LT(waited_ms, 5000.0);
+  ::close(fd);
+
+  router.stop();
+}
+
+TEST(RouterFleet, PipelinedRequestsOnOneClientAnswerInOrder) {
+  net::ServerConfig a_cfg = backend_cfg("rt11a");
+  a_cfg.chunk_frames = 2;  // several chunks per reply
+  BackendHarness a(a_cfg);
+  ASSERT_TRUE(a.start());
+  Router router(router_cfg("rt11", {a.server->port()}));
+  ASSERT_TRUE(router.start());
+
+  // Two requests written back to back before any reply is read. The router
+  // proxies one request per connection at a time, so the second waits in
+  // its buffer; both streams must come back whole and in order.
+  const int fd = raw_connect(router.port());
+  std::vector<std::uint8_t> wire =
+      net::encode_rollout_request(1, small_request(*a.sim, 5));
+  const std::vector<std::uint8_t> second =
+      net::encode_rollout_request(2, small_request(*a.sim, 3));
+  wire.insert(wire.end(), second.begin(), second.end());
+  ASSERT_TRUE(raw_send(fd, wire));
+
+  std::vector<std::vector<double>> frames[2];
+  std::vector<std::uint64_t> order;  // request id of each reply frame
+  std::vector<std::uint8_t> buf;
+  std::size_t off = 0;
+  int finished = 0;
+  while (finished < 2) {
+    net::FrameView frame;
+    ASSERT_TRUE(raw_next_frame(fd, buf, off, frame)) << "stream cut short";
+    ASSERT_TRUE(frame.request_id == 1 || frame.request_id == 2);
+    order.push_back(frame.request_id);
+    std::vector<std::vector<double>>& got = frames[frame.request_id - 1];
+    std::string parse_error;
+    if (frame.type == net::MessageType::RolloutChunk) {
+      net::WireChunk chunk;
+      ASSERT_TRUE(net::decode_rollout_chunk(frame, chunk, parse_error))
+          << parse_error;
+      ASSERT_EQ(chunk.first_frame, got.size());
+      for (std::uint32_t f = 0; f < chunk.num_frames(); ++f)
+        got.emplace_back(chunk.data.begin() + f * chunk.frame_len,
+                         chunk.data.begin() + (f + 1) * chunk.frame_len);
+    } else {
+      ASSERT_EQ(frame.type, net::MessageType::StatusReply);
+      net::WireStatus status;
+      ASSERT_TRUE(net::decode_status_reply(frame, status, parse_error))
+          << parse_error;
+      EXPECT_EQ(status.status, serve::JobStatus::Ok) << status.error;
+      ++finished;
+    }
+  }
+  ::close(fd);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()))
+      << "the replies interleave";
+  expect_bitwise_equal(frames[0], direct_rollout(*a.sim, 5));
+  expect_bitwise_equal(frames[1], direct_rollout(*a.sim, 3));
+
+  router.stop();
+  a.server->stop();
+}
+
+/// A backend that answers HELLO like a v3 server serving "m", then answers
+/// one request with RolloutChunks for as long as the socket takes them,
+/// computing nothing. Its thread ends when the router closes the link.
+class FloodBackend {
+ public:
+  FloodBackend() {
+    listen_fd_ = net::listen_tcp("127.0.0.1", 0, port_);
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~FloodBackend() {
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  [[nodiscard]] int port() const { return port_; }
+  [[nodiscard]] bool link_closed() const { return link_closed_.load(); }
+
+ private:
+  void serve() {
+    pollfd pfd{listen_fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, 10'000) != 1) return;
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) return;
+    // Bounded, so a router that never lets go fails the test, not hangs it.
+    const timeval send_timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                 sizeof(send_timeout));
+    std::vector<std::uint8_t> buf;
+    std::size_t off = 0;
+    net::FrameView frame;
+    while (raw_next_frame(fd, buf, off, frame)) {
+      if (frame.type == net::MessageType::Hello) {
+        net::WireHelloReply reply;
+        reply.max_inflight = 4;
+        reply.models = {"m"};
+        if (!raw_send(fd, net::encode_hello_reply(frame.request_id, reply,
+                                                  frame.version)))
+          break;
+        continue;
+      }
+      net::WireChunk chunk;
+      chunk.frame_len = 128;
+      chunk.data.assign(8 * chunk.frame_len, 0.5);  // 8 KB a chunk
+      for (std::uint32_t first = 0; first < (1u << 24); first += 8) {
+        chunk.first_frame = first;
+        if (!raw_send(fd, net::encode_rollout_chunk(frame.request_id, chunk,
+                                                    frame.version)))
+          break;
+      }
+      link_closed_.store(errno == EPIPE || errno == ECONNRESET);
+      break;
+    }
+    ::close(fd);
+  }
+
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::atomic<bool> link_closed_{false};
+  std::thread thread_;
+};
+
+TEST(RouterFleet, NonReadingClientIsDroppedAndBackendReleased) {
+  FloodBackend backend;
+  RouterConfig cfg = router_cfg("rt12", {backend.port()});
+  cfg.tuning.io_timeout_ms = 300.0;
+  Router router(cfg);
+  ASSERT_TRUE(router.start());
+  const LearnedSimulator sim = make_small_sim();
+
+  // A client that asks for a stream and never reads it. Once its receive
+  // window and the socket buffers are full the router must stop reading
+  // the backend (holding the stream back, not buffering it) and close the
+  // client after io_timeout_ms of stalled writes, closing the link too.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int small_buffer = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small_buffer, sizeof(small_buffer));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(router.port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_TRUE(
+      raw_send(fd, net::encode_rollout_request(1, small_request(sim, 3))));
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(eventually([] {
+    return counter("rt12.timeouts") >= 1.0 &&
+           obs::MetricsRegistry::global().gauge("rt12.active_connections")
+                   .value() == 0.0;
+  })) << "the stalled client was never closed";
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_GE(waited_ms, 250.0);
+  EXPECT_LT(waited_ms, 5000.0);
+  EXPECT_TRUE(eventually([&] { return router.snapshot()[0].inflight == 0; }));
+  EXPECT_TRUE(eventually([&] { return backend.link_closed(); }))
+      << "the backend link outlived the client";
+
+  // What the client did get is a cut stream: chunks, then EOF, and never
+  // a terminal status.
+  std::vector<std::uint8_t> buf;
+  std::size_t off = 0;
+  net::FrameView frame;
+  int chunks = 0;
+  while (raw_next_frame(fd, buf, off, frame)) {
+    EXPECT_EQ(frame.type, net::MessageType::RolloutChunk);
+    ++chunks;
+  }
+  EXPECT_GT(chunks, 0);
   ::close(fd);
 
   router.stop();
