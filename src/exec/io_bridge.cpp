@@ -4,11 +4,11 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include <chrono>
+#include <cerrno>
+#include <system_error>
 #include <utility>
 #include <vector>
 
-#include "exec/executor.hpp"
 #include "obs/metrics.hpp"
 
 namespace gns::exec {
@@ -21,34 +21,26 @@ obs::Counter& events_counter() {
   return c;
 }
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 }  // namespace
 
-IoBridge::IoBridge(Executor& executor)
-    : executor_(executor),
-      inflight_(std::make_shared<std::atomic<int>>(0)) {
-  if (::pipe(wake_fds_) == 0) {
-    set_nonblocking(wake_fds_[0]);
-    set_nonblocking(wake_fds_[1]);
-  }
+IoBridge::IoBridge(Executor& executor) : tasks_(executor) {
+  // Without the wake pipe a re-arm would never reach the poller.
+  if (::pipe2(wake_fds_, O_NONBLOCK | O_CLOEXEC) != 0)
+    throw std::system_error(errno, std::generic_category(),
+                            "IoBridge: wake pipe");
   thread_ = std::thread([this] { loop(); });
 }
 
 IoBridge::~IoBridge() {
   stop();
-  if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
-  if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
+  ::close(wake_fds_[0]);
+  ::close(wake_fds_[1]);
 }
 
 void IoBridge::wake() {
-  if (wake_fds_[1] >= 0) {
-    const char b = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &b, 1);
-  }
+  // A full pipe (EAGAIN) is already readable: the poller wakes anyway.
+  const char b = 1;
+  [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &b, 1);
 }
 
 int IoBridge::watch(int fd, short events, Callback cb) {
@@ -56,8 +48,7 @@ int IoBridge::watch(int fd, short events, Callback cb) {
   {
     std::lock_guard<std::mutex> lk(m_);
     id = next_id_++;
-    watches_[id] = Watch{fd, events, true};
-    callbacks_[id] = std::move(cb);
+    watches_[id] = Watch{fd, events, true, std::move(cb)};
   }
   wake();
   return id;
@@ -78,23 +69,16 @@ void IoBridge::unwatch(int id) {
   {
     std::lock_guard<std::mutex> lk(m_);
     watches_.erase(id);
-    callbacks_.erase(id);
   }
   wake();
 }
 
 void IoBridge::stop() {
-  if (stop_.exchange(true)) {
-    // Second caller still waits for the drain below.
-  } else {
-    wake();
-  }
+  if (!stop_.exchange(true)) wake();  // a second caller still waits below
   if (thread_.joinable()) thread_.join();
   // Callback tasks already handed to the executor may still be queued or
-  // running; they carry copies of the callbacks (not bridge pointers), so
-  // once the counter drains the owner may tear down.
-  while (inflight_->load(std::memory_order_acquire) > 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // running; once they finish the owner may tear down.
+  tasks_.wait();
 }
 
 void IoBridge::loop() {
@@ -114,7 +98,8 @@ void IoBridge::loop() {
         ids.push_back(id);
       }
     }
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 100);
+    // No timeout: watch, rearm, unwatch and stop all write the wake pipe.
+    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), -1);
     if (rc <= 0) continue;
     if ((fds[0].revents & POLLIN) != 0) {
       char buf[64];
@@ -130,15 +115,10 @@ void IoBridge::loop() {
         auto it = watches_.find(ids[i]);
         if (it == watches_.end() || !it->second.armed) continue;
         it->second.armed = false;  // oneshot: cb re-arms when ready
-        cb = callbacks_[ids[i]];
+        cb = it->second.cb;
       }
       events_counter().add(1);
-      inflight_->fetch_add(1, std::memory_order_acq_rel);
-      auto inflight = inflight_;
-      executor_.submit([cb = std::move(cb), re, inflight]() {
-        cb(re);
-        inflight->fetch_sub(1, std::memory_order_acq_rel);
-      });
+      tasks_.submit([cb = std::move(cb), re] { cb(re); });
     }
   }
 }

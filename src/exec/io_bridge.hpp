@@ -12,22 +12,22 @@
 /// per-connection state needs no locking against the bridge itself (only
 /// against timers the owner schedules separately).
 ///
-/// Callbacks never reference the bridge internally — stop() joins the
-/// poller and then waits for already-submitted callback tasks to finish,
-/// after which the owner may destroy the bridge. rearm()/unwatch() on a
-/// stopped bridge are harmless no-ops.
+/// The poller blocks in poll() with no timeout: watch(), rearm(), unwatch()
+/// and stop() each write the wake pipe, and the constructor throws
+/// std::system_error when that pipe cannot be made. stop() joins the poller
+/// and then waits on the bridge's exec::TaskGroup of callback tasks, after
+/// which the owner may destroy the bridge. rearm()/unwatch() on a stopped
+/// bridge are harmless no-ops.
 
 #include <atomic>
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 
-namespace gns::exec {
+#include "exec/task_group.hpp"
 
-class Executor;
+namespace gns::exec {
 
 class IoBridge {
  public:
@@ -61,19 +61,18 @@ class IoBridge {
     int fd = -1;
     short events = 0;
     bool armed = false;
+    Callback cb;  ///< copied per fire
   };
 
   void loop();
   void wake();
 
-  Executor& executor_;
+  TaskGroup tasks_;  ///< callback tasks handed to the executor
   std::mutex m_;
   std::unordered_map<int, Watch> watches_;
-  std::unordered_map<int, Callback> callbacks_;  // id -> cb, copied per fire
   int next_id_ = 1;
   int wake_fds_[2] = {-1, -1};
   std::atomic<bool> stop_{false};
-  std::shared_ptr<std::atomic<int>> inflight_;  // submitted, not yet finished
   std::thread thread_;
 };
 

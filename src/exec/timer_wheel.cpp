@@ -74,13 +74,6 @@ TimerWheel::TimerId TimerWheel::schedule_at(Clock::time_point due,
   return id;
 }
 
-TimerWheel::TimerId TimerWheel::schedule_after(double delay_ms,
-                                               std::function<void()> fn) {
-  const auto delay = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double, std::milli>(std::max(0.0, delay_ms)));
-  return schedule_at(Clock::now() + delay, std::move(fn));
-}
-
 bool TimerWheel::cancel(TimerId id) {
   std::lock_guard<std::mutex> lk(m_);
   auto it = slot_of_.find(id);

@@ -12,9 +12,8 @@
 /// runs user code and a slow callback cannot delay other timers.
 ///
 /// cancel() returns true iff the callback will never run — the contract
-/// the scheduler relies on for deadline-timer bookkeeping (a successful
-/// cancel transfers ownership of the "task outstanding" count back to the
-/// canceller).
+/// exec::TaskGroup relies on: a successful cancel stops the timer counting
+/// toward the group's wait().
 
 #include <cstdint>
 #include <functional>
@@ -42,7 +41,6 @@ class TimerWheel {
   TimerWheel& operator=(const TimerWheel&) = delete;
 
   TimerId schedule_at(Clock::time_point due, std::function<void()> fn);
-  TimerId schedule_after(double delay_ms, std::function<void()> fn);
 
   /// True iff the callback will never run (it had not yet been handed to
   /// dispatch). False when it already fired, was already cancelled, or the

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <thread>
 
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -112,24 +111,19 @@ void ConnEngine::stop() {
   }
   // 2. Busy connections finish their work and close once quiet; quiet
   //    ones that see no event stay open (answering ShuttingDown) until 3.
-  const Clock::time_point deadline =
-      after_ms(Clock::now(), limits_.drain_timeout_ms);
-  for (;;) {
-    bool dirty = false;
-    {
-      std::lock_guard<std::mutex> lock(conns_mutex_);
-      for (const auto& entry : conns_) {
-        std::lock_guard<std::mutex> lk(entry.second->m);
-        if (!quiet(*entry.second)) dirty = true;
-      }
-    }
-    if (!dirty) break;
-    if (Clock::now() >= deadline) {
+  //    A connection closes in a service pass, which signals drained_.
+  {
+    std::unique_lock<std::mutex> lock(conns_mutex_);
+    const auto all_quiet = [this] {
+      return std::all_of(conns_.begin(), conns_.end(), [this](const auto& e) {
+        std::lock_guard<std::mutex> lk(e.second->m);
+        return quiet(*e.second);
+      });
+    };
+    if (!drained_.wait_until(
+            lock, after_ms(Clock::now(), limits_.drain_timeout_ms), all_quiet))
       GNS_WARN(limits_.metrics_prefix
                << ": drain timeout, closing busy connections");
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   // 3. Close what is left.
   std::map<std::uint64_t, std::shared_ptr<Conn>> rest;
@@ -144,8 +138,7 @@ void ConnEngine::stop() {
   // 4. Quiesce: the bridge joins its poller and drains its callback tasks;
   //    deadline timers see closed connections and return.
   bridge_->stop();
-  while (pending_.load(std::memory_order_acquire) > 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  timers_.wait();
   ::close(listen_fd_);
   listen_fd_ = -1;
 }
@@ -232,6 +225,7 @@ void ConnEngine::service(const std::shared_ptr<Conn>& conn, short revents,
   // conn->m is released: conns_mutex_ never nests inside it.
   std::lock_guard<std::mutex> lock(conns_mutex_);
   conns_.erase(conn->key_);
+  if (draining()) drained_.notify_all();
 }
 
 void ConnEngine::decode(Conn& c) {
@@ -356,28 +350,23 @@ ConnEngine::Clock::time_point ConnEngine::timeout(const Conn& c) const {
 
 void ConnEngine::arm(const std::shared_ptr<Conn>& conn, Clock::time_point due) {
   if (due == Clock::time_point::max()) return;
-  exec::Executor& executor = exec::Executor::global();
   if (conn->timer_ != 0) {
     if (conn->timer_due_ <= due) return;  // fires first; its pass re-arms
-    if (!executor.cancel_timer(conn->timer_)) return;  // firing: same
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
+    if (!timers_.cancel(conn->timer_)) return;  // firing: same
   }
-  pending_.fetch_add(1, std::memory_order_acq_rel);
   conn->timer_due_ = due;
-  conn->timer_ = executor.schedule_at(due, [this, conn] {
+  conn->timer_ = timers_.schedule_at(due, [this, conn] {
     {
       std::lock_guard<std::mutex> lk(conn->m);
       conn->timer_ = 0;
     }
     service(conn, 0);
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
   });
 }
 
 void ConnEngine::close(Conn& c) {
   c.closed = true;
-  if (c.timer_ != 0 && exec::Executor::global().cancel_timer(c.timer_))
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
+  if (c.timer_ != 0) timers_.cancel(c.timer_);
   c.timer_ = 0;
   bridge_->unwatch(c.watch_);
   handler_.on_close(c);

@@ -23,14 +23,16 @@
 /// handler's own, returned by its pump.
 ///
 /// stop() drains: the listener closes, connections with work finish it
-/// (bounded by drain_timeout_ms) and close once quiet, then the rest are
-/// closed and the bridge and timers quiesce.
+/// (bounded by drain_timeout_ms) and close once quiet — each such close
+/// wakes stop() to look again — then the rest are closed, the bridge stops
+/// and the engine's exec::TaskGroup of deadline timers is waited out.
 
 #include <sys/types.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -42,6 +44,7 @@
 
 #include "exec/executor.hpp"
 #include "exec/io_bridge.hpp"
+#include "exec/task_group.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
@@ -209,13 +212,15 @@ class ConnEngine {
   bool stopped_ = false;
   std::atomic<bool> draining_{false};
   std::atomic<int> active_{0};
-  std::atomic<int> pending_{0};  ///< deadline timers armed or firing
+  exec::TaskGroup timers_;  ///< connection deadline timers
 
   std::unique_ptr<exec::IoBridge> bridge_;
   int listen_watch_ = -1;
   /// Guards conns_ and listen_watch_; taken before a connection's mutex,
   /// never inside it.
   std::mutex conns_mutex_;
+  /// Signalled, while draining, by each pass that closes a connection.
+  std::condition_variable drained_;
   std::map<std::uint64_t, std::shared_ptr<Conn>> conns_;
   std::uint64_t next_key_ = 1;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <thread>
 
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -15,8 +14,7 @@ namespace gns::net {
 
 struct Server::ServerConn : Conn {
   std::vector<Pending> inflight;
-  bool pump_armed = false;
-  exec::Executor::TimerId pump_timer = 0;
+  exec::TaskGroup::TimerId pump_timer = 0;  ///< 0 when none is armed
 };
 
 Server::Server(serve::JobScheduler& scheduler, ServerConfig config)
@@ -74,8 +72,7 @@ void Server::stop() {
     GNS_INFO("net: draining (stop accepting, flush in-flight)");
     engine_.stop();
     // Pump timers that fired late see closed connections and return.
-    while (pump_pending_.load(std::memory_order_acquire) > 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    pumps_.wait();
     running_.store(false, std::memory_order_release);
     obs::flush_env_files();
     GNS_INFO("net: drained and stopped");
@@ -219,29 +216,22 @@ ConnHandler::Clock::time_point Server::pump(Conn& c) {
 
 void Server::serviced(Conn& c) {
   auto& conn = static_cast<ServerConn&>(c);
-  if (conn.pump_armed) return;
+  if (conn.pump_timer != 0) return;
   const bool busy = !conn.inflight.empty() || !conn.wqueue.empty() ||
                     conn.has_partial || engine_.draining();
-  conn.pump_armed = true;
-  pump_pending_.fetch_add(1, std::memory_order_acq_rel);
   auto self = std::static_pointer_cast<ServerConn>(conn.shared_from_this());
-  conn.pump_timer = exec::Executor::global().schedule_after(
-      busy ? 2.0 : 50.0, [this, self] {
-        {
-          std::lock_guard<std::mutex> lk(self->m);
-          self->pump_armed = false;
-          self->pump_timer = 0;
-        }
-        engine_.service(self, 0);
-        pump_pending_.fetch_sub(1, std::memory_order_acq_rel);
-      });
+  conn.pump_timer = pumps_.schedule_after(busy ? 2.0 : 50.0, [this, self] {
+    {
+      std::lock_guard<std::mutex> lk(self->m);
+      self->pump_timer = 0;
+    }
+    engine_.service(self, 0);
+  });
 }
 
 void Server::on_close(Conn& c) {
   auto& conn = static_cast<ServerConn&>(c);
-  if (conn.pump_timer != 0 &&
-      exec::Executor::global().cancel_timer(conn.pump_timer))
-    pump_pending_.fetch_sub(1, std::memory_order_acq_rel);
+  if (conn.pump_timer != 0) pumps_.cancel(conn.pump_timer);
   conn.pump_timer = 0;
   // The peer is gone: nobody will read these results. Cancel what the
   // scheduler has not started and release the in-flight slots.

@@ -12,6 +12,8 @@
 /// the server submits each decoded request to the serve::JobScheduler and
 /// finds resolved futures with a per-connection pump timer (2 ms while
 /// work is pending, 50 ms otherwise), encoding them into the write queue.
+/// The pump timers belong to the server's exec::TaskGroup, which stop()
+/// waits out after the engine has drained.
 ///
 /// Backpressure is explicit and bounded everywhere: a request beyond the
 /// per-connection or global in-flight cap — or one the scheduler rejects
@@ -46,6 +48,7 @@
 #include <mutex>
 #include <string>
 
+#include "exec/task_group.hpp"
 #include "net/conn_engine.hpp"
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
@@ -162,9 +165,8 @@ class Server : private ConnHandler {
   std::atomic<bool> running_{false};
   std::atomic<int> global_inflight_{0};
   std::once_flag stop_once_;
-  /// Armed or firing pump timers; stop() waits for 0 so no timer callback
-  /// outlives the server.
-  std::atomic<int> pump_pending_{0};
+  /// Pump timers; stop() waits them out so no callback outlives the server.
+  exec::TaskGroup pumps_;
 
   // net.* instruments the engine does not keep (cached handles; the
   // registry owns them, so decode_errors_ is the engine's counter too).

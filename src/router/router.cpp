@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -439,12 +438,8 @@ void Router::sweep() {
 }
 
 void Router::schedule_sweep() {
-  sweep_pending_.fetch_add(1, std::memory_order_acq_rel);
-  sweep_timer_ = exec::Executor::global().schedule_after(
-      config_.probe_interval_ms, [this] {
-        sweep();
-        sweep_pending_.fetch_sub(1, std::memory_order_acq_rel);
-      });
+  sweep_timer_ =
+      sweeps_.schedule_after(config_.probe_interval_ms, [this] { sweep(); });
 }
 
 void Router::drive_probe(std::size_t index, short revents) {
@@ -494,12 +489,9 @@ void Router::stop_probes() {
   {
     std::lock_guard<std::mutex> lock(sweep_mutex_);
     sweep_stopped_ = true;
-    if (sweep_timer_ != 0 &&
-        exec::Executor::global().cancel_timer(sweep_timer_))
-      sweep_pending_.fetch_sub(1, std::memory_order_acq_rel);
+    if (sweep_timer_ != 0) sweeps_.cancel(sweep_timer_);
   }
-  while (sweep_pending_.load(std::memory_order_acquire) > 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  sweeps_.wait();  // a sweep that won the race sees sweep_stopped_
   // No sweep runs any more; events of a probe still in flight find no link.
   for (const auto& probe : probes_) {
     std::lock_guard<std::mutex> lk(probe->m);

@@ -50,12 +50,14 @@
 ///
 /// Threading: none of its own. Client connections run on the connection
 /// engine net::Server uses (net/conn_engine.hpp); backend links are
-/// watches on its bridge, probes and deadlines executor timers. A client
-/// connection proxies one request at a time — placed, backend handshake,
-/// forwarded, streaming, done or failed over — under its lock, driven by
-/// client and backend events alike. The backend is read only once the
-/// client's write queue has drained: a client that stops reading holds its
-/// stream back and is closed after tuning.io_timeout_ms.
+/// watches on its bridge, and deadlines ride the engine's timers. The probe
+/// sweep is a timer of the router's exec::TaskGroup, which stop() waits
+/// out before it drains the engine. A client connection proxies one
+/// request at a time — placed, backend handshake, forwarded, streaming,
+/// done or failed over — under its lock, driven by client and backend
+/// events alike. The backend is read only once the client's write queue
+/// has drained: a client that stops reading holds its stream back and is
+/// closed after tuning.io_timeout_ms.
 
 #include <atomic>
 #include <cstdint>
@@ -65,6 +67,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/task_group.hpp"
 #include "net/conn_engine.hpp"
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
@@ -196,9 +199,9 @@ class Router : private net::ConnHandler {
   std::vector<std::unique_ptr<Probe>> probes_;
   std::mutex sweep_mutex_;  ///< guards the two fields below
   bool sweep_stopped_ = false;
-  exec::Executor::TimerId sweep_timer_ = 0;
-  /// The sweep timer, armed or firing; stop() waits for 0.
-  std::atomic<int> sweep_pending_{0};
+  exec::TaskGroup::TimerId sweep_timer_ = 0;
+  /// The sweep timer, armed or firing; stop() waits it out.
+  exec::TaskGroup sweeps_;
 
   // router.* instruments (cached handles; registry owns them).
   obs::Counter& requests_;

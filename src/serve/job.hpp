@@ -26,9 +26,9 @@ enum class JobStatus {
   Cancelled,         ///< cancel() won the race before/while executing
   ModelNotFound,     ///< registry has no model under the requested name
   /// Request validation or the rollout threw: malformed window, frame
-  /// length or node attributes, non-positive steps, or a shape check
-  /// inside the model. Values are not screened: the serving path has no
-  /// isfinite check, so non-finite positions do not raise it by themselves.
+  /// length or node attributes, non-positive steps, a NaN or infinity in
+  /// window, material or node_attrs (never cached), or a shape check
+  /// inside the model.
   ExecutionError,
   ShutDown,          ///< scheduler shut down without draining this job
 };

@@ -1,6 +1,7 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -24,9 +25,14 @@ struct MemberInputs {
   core::SceneContext context;
 };
 
+bool all_finite(const std::vector<double>& values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
+}
+
 /// Parses and validates one request against the model's feature config.
-/// Throws std::runtime_error on malformed input (typed to ExecutionError by
-/// the chain preflight).
+/// Throws std::runtime_error on malformed input, NaN and infinities included
+/// (typed to ExecutionError by the chain preflight, so never cached).
 MemberInputs build_member_inputs(const RolloutRequest& req,
                                  const core::FeatureConfig& features) {
   if (req.steps <= 0) throw std::runtime_error("steps must be positive");
@@ -40,7 +46,13 @@ MemberInputs build_member_inputs(const RolloutRequest& req,
   for (const auto& frame : req.window) {
     if (frame.size() != frame_len)
       throw std::runtime_error("window frames differ in length");
+    if (!all_finite(frame))
+      throw std::runtime_error("window holds a non-finite value");
   }
+  if (!std::isfinite(req.material))
+    throw std::runtime_error("material is not finite");
+  if (!all_finite(req.node_attrs))
+    throw std::runtime_error("node_attrs holds a non-finite value");
   const int n = static_cast<int>(frame_len) / features.dim;
 
   MemberInputs inputs;
@@ -162,7 +174,9 @@ JobTicket JobScheduler::submit(RolloutRequest request) {
       // Deadline expiry is a timer, not a poll: a still-queued job
       // resolves the moment its budget lapses. Cancelled when the job
       // dispatches (or at shutdown).
-      if (has_deadline) arm_deadline_timer_locked(id, deadline);
+      if (has_deadline)
+        deadline_timers_[id] =
+            tasks_.schedule_at(deadline, [this, id] { expire_queued(id); });
       schedule_drain_locked();
     }
   }
@@ -351,7 +365,7 @@ void JobScheduler::shutdown(bool drain) {
     // Queued-deadline timers would stall quiescence below (a 30 s budget
     // keeps its timer armed for 30 s); chains re-check expiry at dispatch
     // anyway, so cancel them all.
-    for (auto& entry : deadline_timers_) cancel_timer_locked(entry.second);
+    for (auto& entry : deadline_timers_) tasks_.cancel(entry.second);
     deadline_timers_.clear();
     flush_pending_locked();  // stop waiting out batch windows
     if (!queue_.empty()) schedule_drain_locked();
@@ -362,14 +376,10 @@ void JobScheduler::shutdown(bool drain) {
     result.error = "scheduler shut down before execution";
     resolve(std::move(job), std::move(result));
   }
-  // Quiesce: every chain, parked batch, drain task, and armed timer is
-  // owned by this object — nothing may outlive it on the (shared, global)
-  // executor.
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] {
-    return tasks_inflight_ == 0 && active_chains_ == 0 &&
-           pending_batches_.empty() && queue_.empty();
-  });
+  // Quiesce: a chain or parked batch always has a task or timer of tasks_
+  // outstanding, and a queued job a drain, so once the group is empty
+  // nothing of this object is left on the (shared, global) executor.
+  tasks_.wait();
 }
 
 int JobScheduler::queue_depth() const {
@@ -432,8 +442,9 @@ void JobScheduler::resolve(Job&& job, RolloutResult result) {
 
 // ---------------------------------------------------------------------------
 // Executor machinery. The scheduler owns no threads: drains, batch windows,
-// queued deadlines, and rollout steps are all tasks or timers on the global
-// work-stealing executor, and every terminal path funnels into resolve().
+// queued deadlines, and rollout steps are all tasks or timers of its
+// exec::TaskGroup on the global work-stealing executor, and every terminal
+// path funnels into resolve().
 // ---------------------------------------------------------------------------
 
 /// One in-flight rollout chain: preflighted on its first task, then
@@ -453,48 +464,10 @@ struct JobScheduler::ChainState {
   std::int64_t exec_started_ns = 0;
 };
 
-void JobScheduler::spawn_task_locked(std::function<void()> fn) {
-  ++tasks_inflight_;
-  exec::Executor::global().submit([this, fn = std::move(fn)]() mutable {
-    fn();
-    std::lock_guard<std::mutex> lock(mutex_);
-    --tasks_inflight_;
-    idle_cv_.notify_all();
-  });
-}
-
-exec::Executor::TimerId JobScheduler::schedule_timer_locked(
-    std::chrono::steady_clock::time_point due, std::function<void()> fn) {
-  ++tasks_inflight_;
-  return exec::Executor::global().schedule_at(
-      due, [this, fn = std::move(fn)]() mutable {
-        fn();
-        std::lock_guard<std::mutex> lock(mutex_);
-        --tasks_inflight_;
-        idle_cv_.notify_all();
-      });
-}
-
-bool JobScheduler::cancel_timer_locked(exec::Executor::TimerId id) {
-  // cancel_timer never blocks on a firing callback (it just returns
-  // false), so calling it under mutex_ cannot deadlock with the
-  // callback's own lock acquisition.
-  if (!exec::Executor::global().cancel_timer(id)) return false;
-  --tasks_inflight_;
-  idle_cv_.notify_all();
-  return true;
-}
-
 void JobScheduler::schedule_drain_locked() {
   if (drain_scheduled_) return;
   drain_scheduled_ = true;
-  spawn_task_locked([this] { drain_ready(); });
-}
-
-void JobScheduler::arm_deadline_timer_locked(std::uint64_t id,
-                                             Clock::time_point due) {
-  deadline_timers_[id] =
-      schedule_timer_locked(due, [this, id] { expire_queued(id); });
+  tasks_.submit([this] { drain_ready(); });
 }
 
 void JobScheduler::cancel_deadline_timer_locked(std::uint64_t id) {
@@ -503,7 +476,7 @@ void JobScheduler::cancel_deadline_timer_locked(std::uint64_t id) {
   // A lost race (timer already firing) is fine: expire_queued only acts
   // on jobs it still finds in queue_ — whoever removes a job from the
   // queue owns its resolution.
-  cancel_timer_locked(it->second);
+  tasks_.cancel(it->second);
   deadline_timers_.erase(it);
 }
 
@@ -551,10 +524,10 @@ void JobScheduler::take_compatible_locked(std::vector<Job>& batch,
 void JobScheduler::flush_pending_locked() {
   for (auto& entry : pending_batches_) {
     PendingBatch& pb = *entry.second;
-    if (pb.timer != 0 && cancel_timer_locked(pb.timer)) {
+    if (pb.timer != 0 && tasks_.cancel(pb.timer)) {
       pb.timer = 0;
       const std::uint64_t id = entry.first;
-      spawn_task_locked([this, id] { dispatch_pending(id); });
+      tasks_.submit([this, id] { dispatch_pending(id); });
     }
     // Cancel lost: the timer is firing concurrently and will dispatch.
   }
@@ -576,7 +549,7 @@ void JobScheduler::drain_ready() {
         if (static_cast<int>(pb.jobs.size()) < config_.max_batch)
           take_compatible_locked(pb.jobs, pb.model);
         if (static_cast<int>(pb.jobs.size()) >= config_.max_batch &&
-            pb.timer != 0 && cancel_timer_locked(pb.timer)) {
+            pb.timer != 0 && tasks_.cancel(pb.timer)) {
           pb.timer = 0;
           filled.push_back(entry.first);
         }
@@ -612,7 +585,7 @@ void JobScheduler::drain_ready() {
           const std::uint64_t leader_id = batch.front().id;
           pb->jobs = std::move(batch);
           pending_batches_[leader_id] = pb;
-          pb->timer = schedule_timer_locked(
+          pb->timer = tasks_.schedule_at(
               wake, [this, leader_id] { dispatch_pending(leader_id); });
         } else {
           dispatches.push_back(std::move(batch));
@@ -640,8 +613,7 @@ void JobScheduler::start_chain(std::vector<Job> jobs) {
   auto chain = std::make_shared<ChainState>();
   chain->jobs = std::move(jobs);
   chain->results.resize(chain->jobs.size());
-  std::lock_guard<std::mutex> lock(mutex_);
-  spawn_task_locked([this, chain] { chain_step(chain); });
+  tasks_.submit([this, chain] { chain_step(chain); });
 }
 
 void JobScheduler::preflight(ChainState& chain) {
@@ -728,8 +700,7 @@ void JobScheduler::chain_step(const std::shared_ptr<ChainState>& chain) {
     return;
   }
   // One step done: yield the worker and resubmit as a continuation.
-  std::lock_guard<std::mutex> lock(mutex_);
-  spawn_task_locked([this, chain] { chain_step(chain); });
+  tasks_.submit([this, chain] { chain_step(chain); });
 }
 
 void JobScheduler::finish_chain(const std::shared_ptr<ChainState>& chain) {
@@ -775,7 +746,6 @@ void JobScheduler::finish_chain(const std::shared_ptr<ChainState>& chain) {
   std::lock_guard<std::mutex> lock(mutex_);
   --active_chains_;
   if (!queue_.empty()) schedule_drain_locked();
-  idle_cv_.notify_all();
 }
 
 }  // namespace gns::serve

@@ -62,7 +62,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -73,7 +72,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/executor.hpp"
+#include "exec/task_group.hpp"
 #include "serve/job.hpp"
 #include "serve/registry.hpp"
 #include "serve/stats.hpp"
@@ -190,7 +189,7 @@ class JobScheduler {
   struct PendingBatch {
     std::vector<Job> jobs;
     std::string model;
-    exec::Executor::TimerId timer = 0;
+    exec::TaskGroup::TimerId timer = 0;
   };
   /// One in-flight rollout chain: jobs, per-job results, and the
   /// incremental batched rollout advanced one step per task.
@@ -218,21 +217,10 @@ class JobScheduler {
   /// resubmits itself until the rollout finishes, then finalizes.
   void chain_step(const std::shared_ptr<ChainState>& chain);
   void finish_chain(const std::shared_ptr<ChainState>& chain);
-  /// Submits fn with task accounting (tasks_inflight_ / idle_cv_), so
-  /// shutdown can quiesce before the scheduler is destroyed. Requires
-  /// mutex_ held.
-  void spawn_task_locked(std::function<void()> fn);
-  /// Timer with the same accounting; cancel via cancel_timer_locked.
-  exec::Executor::TimerId schedule_timer_locked(
-      std::chrono::steady_clock::time_point due, std::function<void()> fn);
-  /// True iff the timer callback will never run (accounting undone here).
-  bool cancel_timer_locked(exec::Executor::TimerId id);
   /// Converts every parked PendingBatch whose timer can still be cancelled
   /// into an immediate dispatch task (pause/shutdown: stop waiting out
   /// batch windows). Requires mutex_ held.
   void flush_pending_locked();
-  /// Arms the queued-deadline timer for job `id` (requires mutex_).
-  void arm_deadline_timer_locked(std::uint64_t id, Clock::time_point due);
   /// Cancels and forgets the queued-deadline timer of job `id`, if any.
   void cancel_deadline_timer_locked(std::uint64_t id);
   /// Deadline-timer body: resolves job `id` DeadlineExceeded iff it is
@@ -259,15 +247,16 @@ class JobScheduler {
   /// reach a job that a drain already popped.
   std::map<std::uint64_t, std::shared_ptr<std::atomic<bool>>> live_flags_;
 
-  // ---- executor bookkeeping (all guarded by mutex_) ----
+  // ---- executor bookkeeping (guarded by mutex_) ----
   bool drain_scheduled_ = false;
   int active_chains_ = 0;      ///< dispatch chains + parked pending batches
-  int tasks_inflight_ = 0;     ///< executor tasks + armed timers alive
-  std::condition_variable idle_cv_;  ///< signaled as the above drain to 0
   /// Parked underfull batches, keyed by leader job id.
   std::map<std::uint64_t, std::shared_ptr<PendingBatch>> pending_batches_;
   /// Queued-job deadline timers, job id -> timer id.
-  std::map<std::uint64_t, exec::Executor::TimerId> deadline_timers_;
+  std::map<std::uint64_t, exec::TaskGroup::TimerId> deadline_timers_;
+  /// Every drain, chain step and timer this scheduler hands the executor;
+  /// shutdown() waits it out.
+  exec::TaskGroup tasks_;
 };
 
 }  // namespace gns::serve

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -49,7 +50,8 @@ io::Dataset small_dataset() {
   return ds;
 }
 
-LearnedSimulator make_small_sim(std::uint64_t seed = 42) {
+LearnedSimulator make_small_sim(std::uint64_t seed = 42,
+                                int static_node_attrs = 0) {
   FeatureConfig fc;
   fc.dim = 2;
   fc.history = 3;
@@ -57,6 +59,7 @@ LearnedSimulator make_small_sim(std::uint64_t seed = 42) {
   fc.domain_lo = {0.0, 0.0};
   fc.domain_hi = {1.0, 1.0};
   fc.material_feature = true;
+  fc.static_node_attrs = static_node_attrs;
   GnsConfig gc;
   gc.latent = 8;
   gc.mlp_hidden = 8;
@@ -355,6 +358,57 @@ TEST_F(CacheServeTest, OverTheWireHitsAreBitwiseAndSkipWorkers) {
                 .value(),
             1u);
 
+  server.stop();
+}
+
+TEST_F(CacheServeTest, OverTheWireNonFiniteInputsErrorAndAreNeverCached) {
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->put("m", make_small_sim(42, /*static_node_attrs=*/1));
+  ModelRegistry::Handle sim = registry->get("m");
+
+  SchedulerConfig sched_cfg{2, 32};
+  sched_cfg.stats_prefix = "cache_nonfinite_test";
+  sched_cfg.cache = make_cache("cache_nonfinite_test.cache");
+  JobScheduler scheduler(registry, sched_cfg);
+
+  net::ServerConfig net_cfg;
+  net_cfg.port = 0;
+  net::Server server(scheduler, std::move(net_cfg));
+  ASSERT_TRUE(server.start());
+
+  net::ClientConfig client_cfg;
+  client_cfg.port = server.port();
+  net::Client client(client_cfg);
+
+  RolloutRequest good = small_request(*sim, 3);
+  good.node_attrs.assign(6, 0.5);  // 6 particles x 1 static attribute
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (const std::string field : {"window", "material", "node_attrs"}) {
+      RolloutRequest req = good;
+      if (field == "window") req.window[0][5] = bad;
+      if (field == "material") req.material = bad;
+      if (field == "node_attrs") req.node_attrs[4] = bad;
+      for (int attempt = 0; attempt < 2; ++attempt) {
+        const net::ClientResult r = client.rollout(req);
+        ASSERT_TRUE(r.transport_ok) << r.transport_error;
+        ASSERT_FALSE(r.is_net_error) << r.error;
+        EXPECT_EQ(r.status, JobStatus::ExecutionError) << field << bad;
+        EXPECT_NE(r.error.find(field), std::string::npos) << r.error;
+        EXPECT_TRUE(r.frames.empty());
+      }
+    }
+  }
+  EXPECT_EQ(obs::MetricsRegistry::global()
+                .counter("cache_nonfinite_test.cache.insert")
+                .value(),
+            0u);
+
+  const net::ClientResult ok = client.rollout(good);
+  ASSERT_TRUE(ok.ok()) << ok.transport_error << ok.error;
+  EXPECT_EQ(obs::MetricsRegistry::global()
+                .counter("cache_nonfinite_test.cache.insert")
+                .value(),
+            1u);
   server.stop();
 }
 

@@ -1,11 +1,12 @@
 // Units for the work-stealing executor subsystem (src/exec): Chase-Lev
 // deque invariants, task submission and stealing, timer scheduling and
-// cancellation semantics, the parallel_for determinism contract, and the
-// IoBridge oneshot fd-watch lifecycle.
+// cancellation semantics, TaskGroup owner scopes, the parallel_for
+// determinism contract, and the IoBridge oneshot fd-watch lifecycle.
 
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -13,8 +14,10 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <set>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "exec/io_bridge.hpp"
 #include "exec/parallel_for.hpp"
 #include "exec/steal_deque.hpp"
+#include "exec/task_group.hpp"
 
 namespace gns::exec {
 namespace {
@@ -308,7 +312,111 @@ TEST(ParallelJobsTest, FixedLaneReductionIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
+// TaskGroup
+
+TEST(TaskGroupTest, WaitCoversQueuedTasksAndTheSuccessorsTheySubmit) {
+  Executor executor(2);
+  std::atomic<int> ran{0};
+  TaskGroup group(executor);
+  // Each chain resubmits itself: wait() must not return between links.
+  std::function<void(int)> link = [&](int left) {
+    std::this_thread::sleep_for(1ms);
+    ran.fetch_add(1);
+    if (left > 0) group.submit([&link, left] { link(left - 1); });
+  };
+  for (int chain = 0; chain < 4; ++chain)
+    group.submit([&link] { link(9); });
+  group.wait();
+  EXPECT_EQ(ran.load(), 40);
+}
+
+TEST(TaskGroupTest, WaitCoversTimersThatFire) {
+  Executor executor(1);
+  std::atomic<bool> fired{false};
+  std::atomic<bool> rearmed{false};
+  TaskGroup group(executor);
+  const auto start = std::chrono::steady_clock::now();
+  group.schedule_after(30.0, [&fired] { fired.store(true); });
+  group.schedule_at(start + 10ms, [&group, &rearmed] {
+    // A timer may arm another on its own group.
+    group.schedule_after(5.0, [&rearmed] { rearmed.store(true); });
+  });
+  group.wait();
+  EXPECT_TRUE(fired.load());
+  EXPECT_TRUE(rearmed.load());
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 30ms);
+}
+
+TEST(TaskGroupTest, CancelledTimerReleasesWaitAtOnce) {
+  Executor executor(1);
+  std::atomic<bool> fired{false};
+  TaskGroup group(executor);
+  const TaskGroup::TimerId id =
+      group.schedule_after(60'000.0, [&fired] { fired.store(true); });
+  EXPECT_TRUE(group.cancel(id));
+  EXPECT_FALSE(group.cancel(id));  // a second cancel changes nothing
+  const auto start = std::chrono::steady_clock::now();
+  group.wait();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+  EXPECT_FALSE(fired.load());
+}
+
+TEST(TaskGroupTest, CancelThatLosesToAFiringTimerStillWaitsForIt) {
+  Executor executor(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> finished{false};
+  TaskGroup group(executor);
+  const TaskGroup::TimerId id = group.schedule_after(0.0, [&] {
+    started.store(true);
+    std::this_thread::sleep_for(50ms);
+    finished.store(true);
+  });
+  ASSERT_TRUE(eventually([&started] { return started.load(); }));
+  EXPECT_FALSE(group.cancel(id));
+  group.wait();
+  EXPECT_TRUE(finished.load());
+}
+
+TEST(TaskGroupTest, DestroyRightAfterWaitIsCleanOverManyRounds) {
+  Executor executor(2);
+  std::atomic<int> ran{0};
+  for (int round = 0; round < 1000; ++round) {
+    auto group = std::make_unique<TaskGroup>(executor);
+    TaskGroup* g = group.get();
+    for (int i = 0; i < 3; ++i)
+      group->submit([&ran, g] {
+        g->submit([&ran] { ran.fetch_add(1); });
+        ran.fetch_add(1);
+      });
+    group->schedule_after(0.0, [&ran] { ran.fetch_add(1); });
+    const TaskGroup::TimerId late =
+        group->schedule_after(60'000.0, [&ran] { ran.fetch_add(1000); });
+    group->cancel(late);
+    group->wait();
+    group.reset();  // tasks may still be unwinding in the executor
+  }
+  EXPECT_EQ(ran.load(), 1000 * 7);
+}
+
+// ---------------------------------------------------------------------------
 // IoBridge
+
+TEST(IoBridgeSetupTest, ThrowsWhenTheWakePipeCannotBeMade) {
+  Executor executor(1);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit none = saved;
+  none.rlim_cur = 0;  // this process may open no further descriptor
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &none), 0);
+  bool threw = false;
+  try {
+    IoBridge bridge(executor);
+  } catch (const std::system_error&) {
+    threw = true;
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_TRUE(threw);
+}
 
 class IoBridgeTest : public ::testing::Test {
  protected:

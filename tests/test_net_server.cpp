@@ -434,11 +434,14 @@ TEST(NetServer, GracefulDrainDropsNoInflightJobs) {
   Client late(h.client_config());
   ASSERT_TRUE(late.connect());  // accepted before the listener closes
 
+  // connect() returns once the kernel has queued the connection: wait for
+  // the server to accept it too, or the drain refuses it unread.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (h.scheduler->queue_depth() < kClients) {
+  while (h.scheduler->queue_depth() < kClients ||
+         h.server->active_connections() < kClients + 1) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "jobs never queued";
+        << "jobs never queued or late connection never accepted";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 

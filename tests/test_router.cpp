@@ -536,8 +536,15 @@ TEST(RouterFleet, DrainUnderLoadLosesZeroAcceptedJobs) {
            kClients;
   }));
   // A connection accepted before the drain begins, submitting during it.
+  // connect() returns once the kernel has queued the connection; wait
+  // until the router has accepted it too.
   net::Client late(client_cfg(router));
   ASSERT_TRUE(late.connect());
+  ASSERT_TRUE(eventually([] {
+    return obs::MetricsRegistry::global()
+               .gauge("rt7.active_connections")
+               .value() >= kClients + 1;
+  }));
 
   std::thread stopper([&] { router.stop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));

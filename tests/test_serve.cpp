@@ -4,14 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <thread>
 
 #include "core/serialize.hpp"
 #include "core/trainer.hpp"
+#include "obs/metrics.hpp"
 #include "serve/serve.hpp"
+#include "store/store.hpp"
 
 namespace gns::serve {
 namespace {
@@ -42,7 +46,8 @@ io::Dataset small_dataset() {
   return ds;
 }
 
-LearnedSimulator make_small_sim(std::uint64_t seed = 42) {
+LearnedSimulator make_small_sim(std::uint64_t seed = 42,
+                                int static_node_attrs = 0) {
   FeatureConfig fc;
   fc.dim = 2;
   fc.history = 3;
@@ -50,6 +55,7 @@ LearnedSimulator make_small_sim(std::uint64_t seed = 42) {
   fc.domain_lo = {0.0, 0.0};
   fc.domain_hi = {1.0, 1.0};
   fc.material_feature = true;
+  fc.static_node_attrs = static_node_attrs;
   GnsConfig gc;
   gc.latent = 8;
   gc.mlp_hidden = 8;
@@ -352,6 +358,51 @@ TEST_F(ServeTest, MalformedRequestIsExecutionErrorAndSchedulerSurvives) {
   RolloutResult ok = scheduler.submit(small_request(*sim, 2)).result.get();
   EXPECT_EQ(ok.status, JobStatus::Ok);
   EXPECT_EQ(scheduler.stats().snapshot().failed, 2u);
+}
+
+TEST_F(ServeTest, NonFiniteInputsAreExecutionErrorsAndNeverCached) {
+  const std::string dir = "test_serve_nonfinite_cache";
+  std::filesystem::remove_all(dir);
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->put("m", make_small_sim(42, /*static_node_attrs=*/1));
+  ModelRegistry::Handle sim = registry->get("m");
+  store::CacheConfig cache_cfg;
+  cache_cfg.dir = dir;
+  cache_cfg.metrics_prefix = "serve_nonfinite.cache";
+  SchedulerConfig cfg{2, 8};
+  cfg.stats_prefix = "serve_nonfinite";
+  cfg.cache = std::make_shared<store::RolloutCache>(cache_cfg);
+  {
+    JobScheduler scheduler(registry, cfg);
+    const obs::Counter& inserts =
+        obs::MetricsRegistry::global().counter("serve_nonfinite.cache.insert");
+    const std::uint64_t inserted = inserts.value();
+
+    RolloutRequest good = small_request(*sim, 2);
+    good.node_attrs.assign(6, 0.5);  // 6 particles x 1 static attribute
+    for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+      for (const std::string field : {"window", "material", "node_attrs"}) {
+        RolloutRequest req = good;
+        if (field == "window") req.window[1][3] = bad;
+        if (field == "material") req.material = bad;
+        if (field == "node_attrs") req.node_attrs[2] = bad;
+        // The repeat finds nothing cached and fails again.
+        for (int attempt = 0; attempt < 2; ++attempt) {
+          const RolloutResult r = scheduler.submit(req).result.get();
+          EXPECT_EQ(r.status, JobStatus::ExecutionError) << field << bad;
+          EXPECT_NE(r.error.find(field), std::string::npos) << r.error;
+          EXPECT_FALSE(r.cached);
+          EXPECT_TRUE(r.frames.empty());
+        }
+      }
+    }
+    EXPECT_EQ(inserts.value(), inserted);
+
+    // The finite request is served, and cached.
+    EXPECT_EQ(scheduler.submit(good).result.get().status, JobStatus::Ok);
+    EXPECT_EQ(inserts.value(), inserted + 1);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---------- Batched dispatch (max_batch > 1) ----------
